@@ -13,6 +13,7 @@ from .layers import (
     conv1d,
     init_conv_params,
     init_lstm_params,
+    lstm_scan,
     lstm_step,
     maxpool1d,
     subpixel_shuffle,
@@ -66,6 +67,13 @@ def _layer_checks(results, tol, h):
     x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True, name="x")
     _check("subpixel_shuffle", lambda ps: _sq(subpixel_shuffle(ps[0], 2)),
            [x], results, tol, h)
+
+    for bidirectional in (False, True):
+        lstm = init_lstm_params(3, 4, rng, bidirectional=bidirectional)
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True, name="x")
+        _check("lstm_scan.bidirectional" if bidirectional else "lstm_scan",
+               lambda ps: _sq(lstm_scan(ps[0], lstm)),
+               [x] + lstm.tensors(), results, tol, h)
 
 
 def _tfilm_checks(results, tol, h, bidirectional=False):

@@ -9,6 +9,7 @@ invocation can be replayed. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -57,13 +58,45 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy ships no such library (another BLAS, or a system build)."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    if not libs:
+        return None
+    return _thread_calls(ctypes.CDLL(str(libs[0])))
+
+
+def _thread_calls(lib):
+    # numpy >= 2 wheels bundle scipy-openblas; numpy 1.x wheels name the
+    # same ILP64 calls without the scipy_ prefix
+    for prefix in ("scipy_openblas_", "openblas_"):
+        get_name, set_name = f"{prefix}get_num_threads64_", f"{prefix}set_num_threads64_"
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+            get.restype = ctypes.c_int
+            get.argtypes = []
+            put.restype = None
+            put.argtypes = [ctypes.c_int]
+            return get, put
+    return None
+
+
 def _set_threads(n):
     if n is None:
         n = os.environ.get("TFILM_THREADS")
     if n is None:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(int(n))
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"thread count must be >= 1, got {n}")
+    calls = openblas_thread_calls()
+    if calls is None:
+        # numpy has loaded its BLAS already, so the environment is too late
+        print(f"warning: cannot set BLAS threads to {n}: numpy has no bundled "
+              "OpenBLAS with a thread-count call", file=sys.stderr)
+        return
+    calls[1](n)
 
 
 def _apply_overrides(config, pairs):
@@ -290,7 +323,7 @@ def _cmd_gradcheck(args):
 def _build_parser():
     parser = _Parser(prog="tfilm", description=__doc__)
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS worker threads (env TFILM_THREADS)")
+                        help="BLAS worker threads (env TFILM_THREADS)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -352,8 +385,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    _set_threads(args.threads)
     try:
+        _set_threads(args.threads)
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     WindowLargerThanInput,
 )
-from .tensor import Tensor, concat
+from .tensor import Tensor, _sigmoid, concat
 
 __all__ = [
     "Conv1dParams",
@@ -249,63 +249,119 @@ def init_lstm_params(input_size, hidden_size, rng, bidirectional=False):
     return p
 
 
-def _gate(x, h, w_t, u_t, b):
+def _gate(x, h, w, u, b):
     n = x.shape[0]
-    pre = x @ w_t + h @ u_t
+    pre = x @ w.transpose((1, 0)) + h @ u.transpose((1, 0))
     return pre + b.reshape(1, -1).broadcast_to((n, b.shape[0]))
 
 
-def _transposed_weights(p: LstmParams):
-    """Transpose the eight gate matrices once; reusing the nodes across
-    scan steps accumulates their gradients exactly as per-step transposes
-    would, without re-copying the weights every step."""
-    return tuple(
-        getattr(p, name).transpose((1, 0))
-        for name in ("w_i", "u_i", "w_f", "u_f", "w_o", "u_o", "w_g", "u_g")
-    )
-
-
-def lstm_step(x_t: Tensor, h: Tensor, c: Tensor, p: LstmParams,
-              weights_t=None):
+def lstm_step(x_t: Tensor, h: Tensor, c: Tensor, p: LstmParams):
     """One LSTM cell step on a batch: x_t (N, D), h and c (N, H).
 
-    Returns (out, h', c') with out == h'.
+    Returns (out, h', c') with out == h'. Built from elementary tape ops;
+    :func:`lstm_scan` computes the same recurrence as one op per direction.
     """
     if x_t.ndim != 2 or x_t.shape[1] != p.input_size:
         raise ShapeMismatch("lstm_step", x_t.shape, ("N", p.input_size))
     if h.shape != (x_t.shape[0], p.hidden_size):
         raise ShapeMismatch("lstm_step", h.shape, (x_t.shape[0], p.hidden_size))
-    if weights_t is None:
-        weights_t = _transposed_weights(p)
-    w_i, u_i, w_f, u_f, w_o, u_o, w_g, u_g = weights_t
-    i = _gate(x_t, h, w_i, u_i, p.b_i).sigmoid()
-    f = _gate(x_t, h, w_f, u_f, p.b_f).sigmoid()
-    o = _gate(x_t, h, w_o, u_o, p.b_o).sigmoid()
-    g = _gate(x_t, h, w_g, u_g, p.b_g).tanh()
+    i = _gate(x_t, h, p.w_i, p.u_i, p.b_i).sigmoid()
+    f = _gate(x_t, h, p.w_f, p.u_f, p.b_f).sigmoid()
+    o = _gate(x_t, h, p.w_o, p.u_o, p.b_o).sigmoid()
+    g = _gate(x_t, h, p.w_g, p.u_g, p.b_g).tanh()
     c_new = f * c + i * g
     h_new = o * c_new.tanh()
     return h_new, h_new, c_new
 
 
-def _scan_one_direction(xs: Tensor, p: LstmParams, reverse: bool):
-    n, steps, _ = xs.shape
-    h = Tensor.zeros((n, p.hidden_size))
-    c = Tensor.zeros((n, p.hidden_size))
-    weights_t = _transposed_weights(p)
+def _scan_one_direction(xs: Tensor, p: LstmParams, reverse: bool) -> Tensor:
+    """One direction of the scan as a single tape op.
+
+    The gate tensors are stacked in gate order i, f, o, g into W (4H, D),
+    U (4H, H) and b (4H): the input projection of all steps is one GEMM
+    and each step adds one ``h @ U.T``. The backward runs BPTT in reverse
+    step order into dpre (N, S, 4H), the gradient of the gate
+    pre-activations, then forms dW, dU, db and dx with one GEMM or sum
+    each over all steps.
+    """
+    n, steps, d = xs.shape
+    hd = p.hidden_size
+    ws = (p.w_i, p.w_f, p.w_o, p.w_g)
+    us = (p.u_i, p.u_f, p.u_o, p.u_g)
+    bs = (p.b_i, p.b_f, p.b_o, p.b_g)
+    w = np.concatenate([t.data for t in ws])
+    u = np.concatenate([t.data for t in us])
+    b = np.concatenate([t.data for t in bs])
+    x2 = xs.data.reshape(n * steps, d)
+    xw = (x2 @ w.T + b).reshape(n, steps, 4 * hd)
+
+    act = np.empty((n, steps, 4, hd))    # sigmoid of i, f, o; tanh of g
+    c_all = np.empty((n, steps, hd))
+    tanh_c = np.empty((n, steps, hd))
+    out = np.empty((n, steps, hd))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    outs = [None] * steps
+    h = np.zeros((n, hd))
+    c = np.zeros((n, hd))
     for s in order:
-        out, h, c = lstm_step(xs[:, s, :], h, c, p, weights_t)
-        outs[s] = out.reshape(n, 1, p.hidden_size)
-    return concat(outs, axis=1)
+        pre = (xw[:, s] + h @ u.T).reshape(n, 4, hd)
+        a = act[:, s]
+        a[:, :3] = _sigmoid(pre[:, :3])
+        np.tanh(pre[:, 3], out=a[:, 3])
+        c = a[:, 1] * c + a[:, 0] * a[:, 3]
+        c_all[:, s] = c
+        np.tanh(c, out=tanh_c[:, s])
+        h = np.multiply(a[:, 2], tanh_c[:, s], out=out[:, s])
+
+    def backward(grad):
+        # state entering each step: zero before the first step of the scan
+        h_prev = np.zeros_like(out)
+        c_prev = np.zeros_like(c_all)
+        if reverse:
+            h_prev[:, :-1], c_prev[:, :-1] = out[:, 1:], c_all[:, 1:]
+        else:
+            h_prev[:, 1:], c_prev[:, 1:] = out[:, :-1], c_all[:, :-1]
+        i, f, o, g = (act[:, :, k] for k in range(4))
+        # dpre of i, f and g is dc times these factors, dpre of o is dh times
+        # its factor; dc picks up dh * o * tanh'(c)
+        local = np.stack([g, c_prev, tanh_c, i], axis=2)
+        local[:, :, :3] *= act[:, :, :3] * (1.0 - act[:, :, :3])
+        local[:, :, 3] *= 1.0 - g * g
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dpre = np.empty((n, steps, 4, hd))
+        dh = np.zeros((n, hd))
+        dc = np.zeros((n, hd))
+        for s in reversed(order):
+            dh = grad[:, s] + dh
+            dc = dc + dh * dc_dh[:, s]
+            dp = dpre[:, s]
+            np.multiply(local[:, s], dc[:, None, :], out=dp)
+            np.multiply(local[:, s, 2], dh, out=dp[:, 2])
+            dc = dc * f[:, s]
+            dh = dp.reshape(n, 4 * hd) @ u
+
+        dpre2 = dpre.reshape(n * steps, 4 * hd)
+        grads = (dpre2.T @ x2, dpre2.T @ h_prev.reshape(n * steps, hd),
+                 dpre2.sum(axis=0))
+        for tensors, stacked in zip((ws, us, bs), grads):
+            for t, part in zip(tensors, np.split(stacked, 4)):
+                if t.requires_grad:
+                    t.accumulate_grad(part)
+        if xs.requires_grad:
+            xs.accumulate_grad((dpre2 @ w).reshape(n, steps, d))
+
+    return Tensor._from_op(out, (xs,) + ws + us + bs, backward)
 
 
 def lstm_scan(xs: Tensor, p: LstmParams) -> Tensor:
     """Run the LSTM over axis 1 of (N, S, D), starting from zero state.
 
     Returns (N, S, H), or (N, S, 2H) with forward/backward outputs
-    concatenated when ``p.bidirectional``.
+    concatenated when ``p.bidirectional``. Each direction is one tape
+    node whose backward is hand-written BPTT, so the tape does not grow
+    with S.
     """
+    if xs.ndim != 3 or xs.shape[2] != p.input_size:
+        raise ShapeMismatch("lstm_scan", xs.shape, ("N", "S", p.input_size))
     fwd = _scan_one_direction(xs, p, reverse=False)
     if not p.bidirectional:
         return fwd

@@ -32,6 +32,14 @@ def _as_array(data):
     return np.ascontiguousarray(arr)
 
 
+def _sigmoid(x):
+    """Logistic function of an array; the piecewise form avoids exp overflow
+    for large |x|."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 class Tensor:
     """A node in the computation graph.
 
@@ -324,10 +332,7 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward)
 
     def sigmoid(self):
-        # piecewise form avoids exp overflow for large |x|
-        x = self.data
-        data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        data = _sigmoid(self.data)
 
         def backward(g, s=self, y=data):
             s.accumulate_grad(g * y * (1.0 - y))

@@ -1,11 +1,13 @@
 """CLI subcommands, exit codes and resolved-config emission."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tfilm.cli import main
+from tfilm import cli
+from tfilm.cli import main, openblas_thread_calls
 from tfilm.data import read_csv_signal, read_rawf32, write_csv_signal, SignalAsset
 
 
@@ -66,6 +68,54 @@ def test_gradcheck_layers_passes(capsys):
     assert main(["gradcheck", "--module", "layers"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_threads_flag_and_env_set_blas_threads(tmp_path, spec_file, monkeypatch):
+    calls = openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy ships no OpenBLAS with a thread-count call")
+    get, put = calls
+    before = get()
+    target = 2 if before == 1 else 1
+    monkeypatch.delenv("TFILM_THREADS", raising=False)
+    synth = ["synth", "--spec", str(spec_file), "--out", str(tmp_path / "s.raw")]
+    try:
+        assert main(["--threads", str(target)] + synth) == 0
+        assert get() == target
+        put(before)
+        monkeypatch.setenv("TFILM_THREADS", str(target))
+        assert main(synth) == 0
+        assert get() == target
+        assert main(["--threads", "0"] + synth) == 1
+    finally:
+        put(before)
+
+
+def test_thread_calls_found_under_numpy1_names():
+    # numpy 1.x wheels drop the scipy_ prefix of numpy 2's bundled OpenBLAS
+    state = {"n": 4}
+
+    def get():
+        return state["n"]
+
+    def put(n):
+        state["n"] = n
+
+    for prefix in ("scipy_openblas_", "openblas_"):
+        lib = SimpleNamespace(**{f"{prefix}get_num_threads64_": get,
+                                 f"{prefix}set_num_threads64_": put})
+        found_get, found_put = cli._thread_calls(lib)
+        found_put(3)
+        assert found_get() == 3
+        state["n"] = 4
+    assert cli._thread_calls(SimpleNamespace()) is None
+
+
+def test_threads_without_blas_call_warns(tmp_path, spec_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "openblas_thread_calls", lambda: None)
+    synth = ["synth", "--spec", str(spec_file), "--out", str(tmp_path / "s.raw")]
+    assert main(["--threads", "1"] + synth) == 0
+    assert "cannot set BLAS threads" in capsys.readouterr().err
 
 
 def _train_tiny(tmp_path, spec_file, run_name="run"):

@@ -20,7 +20,7 @@ from tfilm.layers import (
     relu,
     subpixel_shuffle,
 )
-from tfilm.tensor import Tensor
+from tfilm.tensor import Tensor, concat
 
 RNG = lambda: np.random.default_rng(42)
 
@@ -149,16 +149,46 @@ def test_lstm_forget_bias_offset():
     assert np.all(p.b_f.data > 1.0 - bound) and np.all(p.b_f.data < 1.0 + bound)
 
 
+def _stepwise_direction(xs, p, reverse):
+    n, steps, _ = xs.shape
+    h = Tensor(np.zeros((n, p.hidden_size)))
+    c = Tensor(np.zeros((n, p.hidden_size)))
+    outs = [None] * steps
+    for s in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        out, h, c = lstm_step(xs[:, s, :], h, c, p)
+        outs[s] = out.reshape(n, 1, p.hidden_size)
+    return concat(outs, axis=1)
+
+
+def _stepwise_scan(xs, p):
+    """Reference scan built from per-step tape ops."""
+    fwd = _stepwise_direction(xs, p, reverse=False)
+    if not p.bidirectional:
+        return fwd
+    return concat([fwd, _stepwise_direction(xs, p.reverse, reverse=True)], axis=2)
+
+
 def test_lstm_scan_matches_stepwise():
-    rng = RNG()
-    p = init_lstm_params(2, 3, rng)
-    xs = rng.normal(size=(2, 5, 2))
-    scanned = lstm_scan(Tensor(xs), p)
-    h = Tensor(np.zeros((2, 3)))
-    c = Tensor(np.zeros((2, 3)))
-    for s in range(5):
-        out, h, c = lstm_step(Tensor(xs[:, s, :]), h, c, p)
-        np.testing.assert_allclose(scanned.data[:, s, :], out.data, atol=1e-12)
+    """Outputs and gradients of the fused scan against the per-step tape."""
+    for bidirectional in (False, True):
+        for steps in (1, 5):
+            rng = RNG()
+            p = init_lstm_params(2, 3, rng, bidirectional=bidirectional)
+            xs = Tensor(rng.normal(size=(2, steps, 2)), requires_grad=True)
+            weight = Tensor(rng.normal(size=(2, steps, 6 if bidirectional else 3)))
+            leaves = [xs] + p.tensors()
+            results = []
+            for scan in (lstm_scan, _stepwise_scan):
+                for t in leaves:
+                    t.zero_grad()
+                out = scan(xs, p)
+                (out * weight).sum().backward()
+                results.append((out.data, [t.grad for t in leaves]))
+            (fused, fused_grads), (ref, ref_grads) = results
+            np.testing.assert_allclose(fused, ref, atol=1e-12)
+            assert len(fused_grads) == len(ref_grads) == 13 + 12 * bidirectional
+            for a, b in zip(fused_grads, ref_grads):
+                np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_bidirectional_scan_concatenates_reverse():
@@ -167,8 +197,6 @@ def test_bidirectional_scan_concatenates_reverse():
     xs = rng.normal(size=(1, 4, 2))
     out = lstm_scan(Tensor(xs), p)
     assert out.shape == (1, 4, 6)
-    fwd = lstm_scan(Tensor(xs), p.as_unidirectional()) if hasattr(
-        p, "as_unidirectional") else None
     # reverse half equals a forward scan over the time-flipped input, flipped back
     import dataclasses
     rev_only = dataclasses.replace(p.reverse, bidirectional=False, reverse=None)

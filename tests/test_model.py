@@ -162,3 +162,26 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(TruncatedFile):
         load_checkpoint(path)
+
+
+def _tape_nodes(out):
+    """Op nodes reachable from ``out``; leaves are not counted."""
+    seen, stack, nodes = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._parents:
+            nodes += 1
+            stack.extend(t._parents)
+    return nodes
+
+
+def test_train_forward_tape_stays_small():
+    # each LSTM scan direction must stay one tape node; per-step ops would
+    # add about 35 nodes for each of the 32 steps of each TFiLM layer
+    cfg = ModelConfig(depth=2, patch_length=256, max_filters=16, tfilm_blocks=32)
+    model = build_model(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 256, 1)))
+    assert _tape_nodes(model.forward(x, mode="train")) <= 200

@@ -7,6 +7,7 @@ from tfilm.errors import NonDivisibleLength, NonScalarRoot, ShapeMismatch
 from tfilm.tensor import (
     BlockTensor,
     Tensor,
+    _sigmoid,
     concat,
     reshape_from_blocks,
     reshape_to_blocks,
@@ -122,6 +123,15 @@ def test_sigmoid_tanh_values():
     x = Tensor([0.0])
     np.testing.assert_allclose(x.sigmoid().data, [0.5])
     np.testing.assert_allclose(x.tanh().data, [0.0])
+
+
+def test_sigmoid_bit_identical_to_piecewise_formula():
+    x = np.concatenate([np.random.default_rng(3).normal(scale=8.0, size=1000),
+                        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]])
+    ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert Tensor(x).sigmoid().data.tobytes() == ref.tobytes()
+    assert _sigmoid(x).tobytes() == ref.tobytes()
 
 
 def test_concat_backward_splits():
