@@ -32,8 +32,8 @@ def _sq(t):
     return (t * t).sum()
 
 
-def _check(name, f, params, results, tol, h):
-    report = finite_diff_check(f, params, h=h, tol=tol)
+def _check(name, f, params, results, tol, h, max_coords=None):
+    report = finite_diff_check(f, params, h=h, tol=tol, max_coords=max_coords)
     results.append((name, report))
 
 
@@ -49,6 +49,13 @@ def _layer_checks(results, tol, h):
     p = init_conv_params(4, 3, 5, rng, stride=2, dilation=2, padding="same")
     _check("conv1d.stride2.dilation2", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h)
+
+    # long enough that the 5 taps run as GEMM blocks of 3 and 2 taps; the
+    # input is spot-checked on a seeded subset of coordinates
+    x = Tensor(rng.normal(size=(2, 256, 24)), requires_grad=True, name="x")
+    p = init_conv_params(2, 24, 5, rng, stride=2, dilation=2, padding="same")
+    _check("conv1d.taps", lambda ps: _sq(conv1d(ps[0], p)),
+           [x, p.weight, p.bias], results, tol, h, max_coords=60)
 
     x = Tensor(rng.normal(size=(2, 14, 4)), requires_grad=True, name="x")
     _check("maxpool1d", lambda ps: _sq(maxpool1d(ps[0], 3, 2)), [x], results, tol, h)

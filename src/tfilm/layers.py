@@ -6,6 +6,11 @@ cross-correlation convention (no kernel flip). Same-padding pads
 (k_eff - 1) // 2 samples on the left and the remainder on the right,
 with k_eff = (k - 1) * dilation + 1, which keeps output lengths at
 ceil(T / stride).
+
+Convolution is a sum of GEMMs over blocks of consecutive taps, read as
+strided views of the padded input (the multi-GEMM form of Lavin & Gray
+2016): no im2col buffer over all k taps is built, and the backward
+keeps only the padded input and the weights.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ChannelMismatch,
@@ -93,8 +99,38 @@ def init_conv_params(out_channels, in_channels, kernel_len, rng,
     )
 
 
+# A block joins the fewest consecutive taps whose columns number at least
+# _BLOCK_COLUMNS and hold at least _BLOCK_ELEMS values (N * T' * g * C_in).
+# Measured on 2 cores with OpenBLAS 0.3.31, per forward (+ backward):
+# - columns: the six conv layers of the SR model (N=16, T up to 2048) took
+#   28-29 ms with 16, which gives one tap per GEMM from C_in = 16 up, and
+#   41-46 ms with 32 or 64 (2- to 4-tap blocks): once C_in fills a GEMM's
+#   inner dimension, joining taps only adds a copy. At C_in = 1 (k=65) one
+#   tap per GEMM took 20 ms, 16-tap blocks 2 ms.
+# - values: on short inputs a GEMM's call overhead outweighs its work; the
+#   six conv layers of the imputation model (N=1, T up to 512) took 630-660
+#   us with the column rule alone and 435 us with 16384, which leaves every
+#   layer of the SR and paper-scale models at the column rule.
+_BLOCK_COLUMNS = 16
+_BLOCK_ELEMS = 16384
+
+
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Batched 1D cross-correlation with stride/dilation and same|valid padding."""
+    """Batched 1D cross-correlation with stride/dilation and same|valid padding.
+
+    out = bias + sum over blocks of cols_blk @ W_blk. A block is g
+    consecutive taps: its columns are the strided views
+    ``xpad[:, j*d : j*d+span : stride, :]`` of its taps, joined along
+    channels only when g > 1, and W_blk is its (g*C_in, C_out) slice of
+    the weights. g is the fewest taps whose columns number at least 16 and
+    hold at least 16384 values (``_BLOCK_COLUMNS``, ``_BLOCK_ELEMS``), at
+    most k: in the SR and paper-scale models, 16-tap blocks at C_in = 1
+    and one tap per GEMM from C_in = 16 up; on short inputs, up to all k
+    taps, which is im2col. The backward closure keeps only the padded
+    input and the weight and bias tensors: it rebuilds each block's
+    columns for dW_blk = cols^T g, and adds g W_blk^T into the gradient
+    of the padded input at the taps' shifted strided slices.
+    """
     if x.ndim != 3:
         raise ShapeMismatch("conv1d", x.shape, ("N", "T", "C"))
     n, t, c = x.shape
@@ -121,30 +157,56 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         raise ValueError(f"unknown padding mode {p.padding!r}")
 
     xpad = np.pad(x.data, ((0, 0), (pad_l, pad_r), (0, 0)))
-    idx = (np.arange(t_out) * stride)[:, None] + np.arange(k) * p.dilation
-    cols = xpad[:, idx, :]                               # (N, T', k, C)
-    cols2 = cols.reshape(n * t_out, k * c)
-    wmat = p.weight.data.transpose(2, 1, 0).reshape(k * c, p.out_channels)
-    out = (cols2 @ wmat + p.bias.data).reshape(n, t_out, p.out_channels)
+    cout = p.out_channels
+    dilation = p.dilation
+    span = (t_out - 1) * stride + 1
+    g = min(k, max(-(-_BLOCK_COLUMNS // c),
+                   -(-_BLOCK_ELEMS // max(1, n * t_out * c))))
+    blocks = [(j0, min(j0 + g, k)) for j0 in range(0, k, g)]
+
+    # (N, T', k, C), a read-only view of xpad: taps[:, :, j] is
+    # xpad[:, j*d : j*d+span : stride], the columns of tap j
+    sn, st, sc = xpad.strides
+    taps = as_strided(xpad, (n, t_out, k, c), (sn, stride * st, dilation * st, sc),
+                      writeable=False)
+
+    def block_cols(j0, j1):
+        # (N, T', (j1-j0)*C): a view for one tap, a copy joining several
+        return taps[:, :, j0:j1].reshape(n, t_out, (j1 - j0) * c)
 
     w, b = p.weight, p.bias
-    tp = xpad.shape[1]
-    dilation = p.dilation
 
-    def backward(g, x=x, w=w, b=b):
-        g2 = g.reshape(n * t_out, p.out_channels)
+    def block_weights(j0, j1):
+        # ((j1-j0)*C, C_out), rows in the order of the block's columns
+        wb = np.ascontiguousarray(w.data[:, :, j0:j1].transpose(2, 1, 0))
+        return wb.reshape((j1 - j0) * c, cout)
+
+    out = np.empty((n, t_out, cout))
+    out[...] = b.data
+    for j0, j1 in blocks:
+        out += block_cols(j0, j1) @ block_weights(j0, j1)
+
+    def backward(g_out):
+        g2 = g_out.reshape(n * t_out, cout)
         if b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0))
-        if w.requires_grad:
-            dw = (cols2.T @ g2).reshape(k, c, p.out_channels).transpose(2, 1, 0)
-            w.accumulate_grad(dw)
-        if x.requires_grad:
-            dcols = (g2 @ wmat.T).reshape(n, t_out, k, c)
-            dxpad = np.zeros((n, tp, c))
-            span = (t_out - 1) * stride + 1
-            for j in range(k):
-                dxpad[:, j * dilation: j * dilation + span: stride, :] += dcols[:, :, j, :]
-            x.accumulate_grad(dxpad[:, pad_l: tp - pad_r or None, :])
+        dw_taps = np.empty((k, c, cout)) if w.requires_grad else None
+        dxpad = np.zeros_like(xpad) if x.requires_grad else None
+        for j0, j1 in blocks:
+            if dw_taps is not None:
+                # one GEMM per batch item over T', summed: a single GEMM over
+                # N*T' rows with only g*C x C_out outputs runs far slower
+                cols = block_cols(j0, j1)
+                dw = np.matmul(cols.transpose(0, 2, 1), g_out).sum(axis=0)
+                dw_taps[j0:j1] = dw.reshape(j1 - j0, c, cout)
+            if dxpad is not None:
+                dcols = (g2 @ block_weights(j0, j1).T).reshape(n, t_out, j1 - j0, c)
+                for i, j in enumerate(range(j0, j1)):
+                    dxpad[:, j * dilation: j * dilation + span: stride] += dcols[:, :, i]
+        if dw_taps is not None:
+            w.accumulate_grad(dw_taps.transpose(2, 1, 0))
+        if dxpad is not None:
+            x.accumulate_grad(dxpad[:, pad_l: xpad.shape[1] - pad_r or None, :])
 
     return Tensor._from_op(out, (x, w, b), backward)
 

@@ -174,7 +174,7 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainRun:
         best_params = [p.data.copy() for p in params]
 
     for epoch in range(cfg.epochs):
-        t0 = time.time()
+        t0 = time.perf_counter()
         order = train_idx.copy()
         np.random.default_rng((cfg.seed, epoch)).shuffle(order)
         epoch_loss = 0.0
@@ -205,7 +205,7 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainRun:
         else:
             val_loss = run.epoch_losses[-1]
         run.val_losses.append(val_loss)
-        run.epoch_seconds.append(time.time() - t0)
+        run.epoch_seconds.append(time.perf_counter() - t0)
 
         improved = val_loss < run.best_val_loss * (1.0 - cfg.restore_best_min_delta)
         if improved:

@@ -1,5 +1,7 @@
 """Convolution, pooling, LSTM, subpixel shuffle and dropout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,18 +51,68 @@ def _naive_conv(x, w, b, stride, dilation, padding):
     return out
 
 
-@pytest.mark.parametrize("stride,dilation,padding", [
-    (1, 1, "valid"), (2, 1, "valid"), (1, 2, "valid"),
-    (1, 1, "same"), (2, 2, "same"),
+def _naive_conv_grads(x, w, stride, dilation, padding, g):
+    """Gradients of sum(g * conv(x)) by the loops of _naive_conv."""
+    n, t, cin = x.shape
+    cout, _, k = w.shape
+    k_eff = (k - 1) * dilation + 1
+    left = (k_eff - 1) // 2 if padding == "same" else 0
+    right = k_eff - 1 - left if padding == "same" else 0
+    xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for nn in range(n):
+        for ti in range(g.shape[1]):
+            for j in range(k):
+                pos = ti * stride + j * dilation
+                dw[:, :, j] += np.outer(g[nn, ti], xp[nn, pos])
+                dxp[nn, pos] += w[:, :, j].T @ g[nn, ti]
+    return dxp[:, left:left + t], dw, g.sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("stride,dilation,padding,cin,k,t", [
+    pytest.param(1, 1, "valid", 3, 5, 12, id="1-1-valid"),
+    pytest.param(2, 1, "valid", 3, 5, 12, id="2-1-valid"),
+    pytest.param(1, 2, "valid", 3, 5, 12, id="1-2-valid"),
+    pytest.param(1, 1, "same", 3, 5, 12, id="1-1-same"),
+    pytest.param(2, 2, "same", 3, 5, 12, id="2-2-same"),
+    # GEMM blocks: one spanning the kernel, 3 + 2 taps, one tap per GEMM
+    pytest.param(2, 2, "same", 1, 9, 12, id="2-2-same-cin1-k9"),
+    pytest.param(2, 2, "same", 24, 5, 256, id="2-2-same-cin24-k5"),
+    pytest.param(1, 1, "same", 64, 3, 128, id="1-1-same-cin64-k3"),
 ])
-def test_conv1d_matches_naive(stride, dilation, padding):
+def test_conv1d_matches_naive(stride, dilation, padding, cin, k, t):
     rng = RNG()
-    x = rng.normal(size=(2, 12, 3))
-    p = init_conv_params(4, 3, 5, rng, stride=stride, dilation=dilation,
+    x = Tensor(rng.normal(size=(2, t, cin)), requires_grad=True)
+    p = init_conv_params(4, cin, k, rng, stride=stride, dilation=dilation,
                          padding=padding)
-    out = conv1d(Tensor(x), p)
-    ref = _naive_conv(x, p.weight.data, p.bias.data, stride, dilation, padding)
+    p.bias.data = rng.normal(size=4)
+    out = conv1d(x, p)
+    ref = _naive_conv(x.data, p.weight.data, p.bias.data, stride, dilation, padding)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
+
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    dx, dw, db = _naive_conv_grads(x.data, p.weight.data, stride, dilation,
+                                   padding, g)
+    np.testing.assert_allclose(x.grad, dx, atol=1e-12)
+    np.testing.assert_allclose(p.weight.grad, dw, atol=1e-12)
+    np.testing.assert_allclose(p.bias.grad, db, atol=1e-12)
+
+
+def test_conv1d_keeps_no_column_buffer():
+    # the output's backward holds the padded input, not k copies of it
+    rng = RNG()
+    p = init_conv_params(32, 32, 33, rng)
+    x = Tensor(rng.normal(size=(2, 1024, 32)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = conv1d(x, p)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 3 * (x.data.nbytes + out.data.nbytes)
 
 
 def test_conv1d_same_stride1_preserves_length():
