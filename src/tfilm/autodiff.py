@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonDeterministicFunction
-from .tensor import Tensor
+from .tensor import no_grad
 
 __all__ = ["GradReport", "ParamReport", "finite_diff_check", "zero_grads"]
 
@@ -62,10 +62,11 @@ class GradReport:
 
 def _central(f, params, flat, i, h, base):
     orig = flat[i]
-    flat[i] = orig + h
-    f_plus = f(params).item()
-    flat[i] = orig - h
-    f_minus = f(params).item()
+    with no_grad():
+        flat[i] = orig + h
+        f_plus = f(params).item()
+        flat[i] = orig - h
+        f_minus = f(params).item()
     flat[i] = orig
     d_plus = (f_plus - base) / h
     d_minus = (base - f_minus) / h
@@ -84,7 +85,8 @@ def finite_diff_check(f, params, h=1e-5, tol=1e-4, max_coords=None, seed=0):
 
     Args:
         f: callable taking the parameter list and returning a scalar Tensor.
-           Must be deterministic (run models in eval mode).
+           Must be deterministic and must record a tape, so not a model's
+           eval forward: run train mode with a fixed dropout seed and step.
         params: leaf Tensors with ``requires_grad=True``; their ``.data``
            is perturbed in place and restored.
         h: perturbation step.
@@ -98,13 +100,14 @@ def finite_diff_check(f, params, h=1e-5, tol=1e-4, max_coords=None, seed=0):
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    f0 = f(params)
-    f0_again = f(params)
-    if f0.item() != f0_again.item():
+    # only the analytic pass below records a tape
+    with no_grad():
+        base = f(params).item()
+        again = f(params).item()
+    if base != again:
         raise NonDeterministicFunction(
-            f"f returned {f0.item()!r} then {f0_again.item()!r} at identical params"
+            f"f returned {base!r} then {again!r} at identical params"
         )
-    base = f0.item()
 
     zero_grads(params)
     loss = f(params)

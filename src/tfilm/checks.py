@@ -109,9 +109,13 @@ def _model_checks(results, tol, h):
     target = Tensor(rng.normal(size=(1, 64, 1)))
 
     def f_model(ps):
-        # small loss scale keeps finite-difference roundoff (~eps*|f|/h)
-        # below the comparison floor for near-zero gradients
-        return mse_loss(model.forward(x, mode="eval"), target) * 1e-3
+        # train mode, since an eval forward records no tape: the fixed seed
+        # and step keep the dropout mask constant, so f stays deterministic
+        # and the check covers dropout's backward too. The small loss scale
+        # keeps finite-difference roundoff (~eps*|f|/h) below the
+        # comparison floor for near-zero gradients
+        return mse_loss(model.forward(x, mode="train", dropout_seed=0, step=0),
+                        target) * 1e-3
 
     params = []
     for name, p in model.named_params():

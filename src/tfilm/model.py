@@ -14,6 +14,7 @@ counterparts, optionally capped by ``max_filters`` for desk-scale runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import dataclass, asdict
@@ -35,7 +36,7 @@ from .layers import (
     subpixel_shuffle,
 )
 from .modulation import TfilmLayerParams, init_tfilm_params, tfilm_forward
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, no_grad
 
 __all__ = [
     "ModelConfig",
@@ -206,7 +207,15 @@ class Model:
         return dropout(x, stage.dropout_rate, rng=rng, mode=mode)
 
     def forward(self, x: Tensor, mode="eval", dropout_seed=0, step=0) -> Tensor:
-        """Map (N, T, k) inputs to (N, T, 1) outputs."""
+        """Map (N, T, k) inputs to (N, T, 1) outputs.
+
+        An eval forward records no tape (see :func:`tfilm.tensor.no_grad`):
+        its output has no parents and backward reaches no parameter.
+        """
+        with no_grad() if mode == "eval" else contextlib.nullcontext():
+            return self._forward(x, mode, dropout_seed, step)
+
+    def _forward(self, x, mode, dropout_seed, step):
         if x.ndim != 3:
             raise ShapeMismatch("forward", x.shape, ("N", "T", "k"))
         n, t, c = x.shape
@@ -333,7 +342,7 @@ def save_checkpoint(path, model: Model):
             fh.write(struct.pack("<B", p.ndim))
             for extent in p.shape:
                 fh.write(struct.pack("<I", extent))
-            fh.write(np.asarray(p.data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
 
 
 def _read_exact(fh, n):
@@ -374,7 +383,8 @@ def load_checkpoint(path) -> Model:
                 raise ShapeMismatch(f"checkpoint param {name}", shape, p.shape)
             count = int(np.prod(shape)) if shape else 1
             raw = _read_exact(fh, 4 * count)
-            p.data = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+            # into the array build_model allocated; float32 -> float64 is exact
+            p.data[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
             seen.add(name)
         if seen != set(expected):
             raise TruncatedFile("checkpoint missing parameters")

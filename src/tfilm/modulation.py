@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonDivisibleLength, ShapeMismatch
 from .layers import LstmParams, init_lstm_params, lstm_scan
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "TfilmLayerParams",
@@ -129,10 +129,11 @@ def tfilm_causality_probe(f: Tensor, p: TfilmLayerParams, block_index: int,
     if not 0 <= block_index < num_blocks:
         raise IndexError(f"block index {block_index} out of range 0..{num_blocks - 1}")
 
-    baseline = tfilm_forward(Tensor(data), p).data
     perturbed = data.copy()
     perturbed[:, block_index * b:(block_index + 1) * b, :] += delta
-    probed = tfilm_forward(Tensor(perturbed), p).data
+    with no_grad():
+        baseline = tfilm_forward(Tensor(data), p).data
+        probed = tfilm_forward(Tensor(perturbed), p).data
 
     diff = (baseline != probed).reshape(n, num_blocks, b, c).any(axis=(0, 2, 3))
     affected = np.flatnonzero(diff)

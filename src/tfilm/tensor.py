@@ -8,10 +8,15 @@ rebuilt on every forward pass; there is no retained graph.
 All computation is float64. Elementwise binary ops require identical
 shapes (scalars are the only broadcast allowed); any richer broadcast
 must go through the explicit :meth:`Tensor.broadcast_to`.
+
+Inside :func:`no_grad` ops record nothing: their outputs have no parents,
+so a forward that nobody differentiates frees each intermediate as soon
+as the next op has used it.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +25,29 @@ from .errors import NonDivisibleLength, NonScalarRoot, ShapeMismatch
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "BlockTensor",
     "concat",
     "reshape_to_blocks",
     "reshape_from_blocks",
 ]
+
+
+# whether ops record parents and backward closures; see no_grad
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block; the previous mode comes back on exit,
+    also when the block raises. The mode is process-wide, not per thread."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _as_array(data):
@@ -73,7 +96,7 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -104,9 +127,17 @@ class Tensor:
         """A view of the same value that blocks gradient flow."""
         return Tensor(self.data, requires_grad=False, name=self.name)
 
-    def accumulate_grad(self, g):
+    def accumulate_grad(self, g, copy=False):
+        """Add ``g`` into ``.grad``.
+
+        The first accumulation stores ``g`` itself, so ``g`` must be an
+        array the caller allocated for this call. A backward closure that
+        passes its incoming gradient, or a view of it, through sets
+        ``copy=True``: that array is the child's ``.grad``.
+        """
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            convert = np.array if copy else np.asarray
+            self.grad = convert(g, dtype=np.float64)
         else:
             self.grad = self.grad + g
 
@@ -152,7 +183,8 @@ class Tensor:
 
             def backward(g, s=self, o=other_arr):
                 if s.requires_grad:
-                    s.accumulate_grad(bwd_self(g, s.data, o))
+                    gs = bwd_self(g, s.data, o)
+                    s.accumulate_grad(gs, copy=gs is g)
 
             return Tensor._from_op(data, (self,), backward)
         if not isinstance(other, Tensor):
@@ -161,11 +193,14 @@ class Tensor:
             raise ShapeMismatch(op, self.shape, other.shape)
         data = fwd(self.data, other.data)
 
+        # add and sub hand g itself on, which the parents must copy
         def backward(g, s=self, o=other):
             if s.requires_grad:
-                s.accumulate_grad(bwd_self(g, s.data, o.data))
+                gs = bwd_self(g, s.data, o.data)
+                s.accumulate_grad(gs, copy=gs is g)
             if o.requires_grad:
-                o.accumulate_grad(bwd_other(g, s.data, o.data))
+                go = bwd_other(g, s.data, o.data)
+                o.accumulate_grad(go, copy=go is g)
 
         return Tensor._from_op(data, (self, other), backward)
 
@@ -247,7 +282,7 @@ class Tensor:
         data = self.data.reshape(shape)
 
         def backward(g, s=self, old=old):
-            s.accumulate_grad(g.reshape(old))
+            s.accumulate_grad(g.reshape(old), copy=True)
 
         return Tensor._from_op(data, (self,), backward)
 
@@ -257,7 +292,7 @@ class Tensor:
         data = self.data.transpose(axes)
 
         def backward(g, s=self, inv=tuple(inv)):
-            s.accumulate_grad(g.transpose(inv))
+            s.accumulate_grad(g.transpose(inv), copy=True)
 
         return Tensor._from_op(data, (self,), backward)
 
@@ -367,7 +402,7 @@ def concat(tensors, axis):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(start, start + w)
-                t.accumulate_grad(np.ascontiguousarray(g[tuple(sl)]))
+                t.accumulate_grad(g[tuple(sl)], copy=True)
             start += w
 
     return Tensor._from_op(data, tensors, backward)

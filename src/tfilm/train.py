@@ -65,21 +65,37 @@ def init_adam(params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
 
 
 def adam_step(params, grads, state: AdamState) -> AdamState:
-    """Standard bias-corrected update; mutates parameter data and state."""
+    """Standard bias-corrected update; mutates parameter data and state.
+
+    ``m``, ``v`` and ``p.data`` are updated in place, in the operation
+    order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p = p - lr*m_hat / (sqrt(v_hat) + eps)``, so the result is bit-equal
+    to that formula.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("adam_step", (len(params),), (len(grads),))
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
+    c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ShapeMismatch("adam_step", g.shape, p.data.shape)
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1 ** state.t)
-        v_hat = state.v[i] / (1 - b2 ** state.t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tmp = np.multiply(1 - b1, g)
+        m *= b1
+        m += tmp
+        np.multiply(1 - b2, g, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        step = np.divide(m, c1)
+        step *= state.lr
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step /= tmp
+        p.data -= step
     return state
 
 

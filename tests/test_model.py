@@ -1,5 +1,7 @@
 """Model assembly, architecture formulas, forward pass and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,24 @@ from tfilm.model import (
     save_checkpoint,
 )
 from tfilm.tensor import Tensor
+from tfilm.train import mse_loss
 
 MINI = ModelConfig(depth=2, patch_length=64, max_filters=8, tfilm_blocks=4,
                    dropout_rate=0.5)
+# the criterion-6 super-resolution config
+SR = ModelConfig(depth=2, patch_length=2048, max_filters=16, tfilm_blocks=32,
+                 dropout_rate=0.5)
+
+
+def _perturbed(cfg, seed):
+    """A model whose zero-initialized tensors are moved off zero, so it is
+    not the identity and every parameter shapes the output."""
+    model = build_model(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.params():
+        if not p.data.any():
+            p.data = rng.normal(size=p.shape) * 0.1
+    return model
 
 
 def test_default_architecture_formulas():
@@ -164,18 +181,20 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
-def _tape_nodes(out):
-    """Op nodes reachable from ``out``; leaves are not counted."""
-    seen, stack, nodes = set(), [out], 0
+def _reachable(out):
+    """Every tensor reachable from ``out`` through the tape, leaves included."""
+    seen, stack = {}, [out]
     while stack:
         t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if t._parents:
-            nodes += 1
+        if id(t) not in seen:
+            seen[id(t)] = t
             stack.extend(t._parents)
-    return nodes
+    return list(seen.values())
+
+
+def _tape_nodes(out):
+    """Op nodes reachable from ``out``; leaves are not counted."""
+    return sum(1 for t in _reachable(out) if t._parents)
 
 
 def test_train_forward_tape_stays_small():
@@ -185,3 +204,64 @@ def test_train_forward_tape_stays_small():
     model = build_model(cfg, seed=0)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 256, 1)))
     assert _tape_nodes(model.forward(x, mode="train")) <= 200
+
+
+def test_training_step_gradients_share_no_memory():
+    model = _perturbed(SR, seed=0)
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(2, 2048, 1)))
+    y = Tensor(rng.normal(size=(2, 2048, 1)))
+    loss = mse_loss(model.forward(x, mode="train", dropout_seed=0, step=0), y)
+    tensors = _reachable(loss)
+    loss.backward()
+    grads = [t.grad for t in tensors if t.grad is not None]
+    assert len(grads) > len(model.params())
+    for i, g in enumerate(grads):
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h)
+
+
+# --- tape-free eval -------------------------------------------------------------
+
+
+def test_eval_forward_is_bit_equal_to_train_without_dropout():
+    cfg = ModelConfig(depth=2, patch_length=64, max_filters=8, tfilm_blocks=4,
+                      dropout_rate=0.0)
+    model = _perturbed(cfg, seed=4)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 64, 1)))
+    out = model.forward(x, mode="eval").data
+    assert not np.array_equal(out, x.data)
+    assert np.array_equal(out, model.forward(x, mode="train").data)
+
+
+def test_eval_forward_records_no_tape():
+    model = _perturbed(MINI, seed=0)
+    out = model.forward(Tensor(np.ones((1, 64, 1))), mode="eval")
+    assert out._parents == ()
+    assert out.requires_grad is False
+    assert _tape_nodes(model.forward(Tensor(np.ones((1, 64, 1))), mode="train")) > 0
+
+
+def test_failed_eval_forward_restores_recording():
+    model = build_model(MINI, seed=0)
+    with pytest.raises(LengthInvariantViolation):
+        model.forward(Tensor(np.zeros((1, 44, 1))), mode="eval")
+    out = model.forward(Tensor(np.ones((1, 64, 1))), mode="train")
+    assert out.requires_grad and out._parents
+    out.sum().backward()
+    assert model.final.conv.weight.grad is not None
+
+
+def test_eval_forward_holds_only_its_output():
+    model = _perturbed(SR, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(4, 2048, 1)))
+    model.forward(x, mode="eval")  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = model.forward(x, mode="eval")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a recorded tape holds about 11 MB here; the output is 64 KiB
+    assert held <= out.data.nbytes + 16 * 1024

@@ -144,6 +144,29 @@ def test_concat_backward_splits():
     np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
 
 
+def test_pass_through_gradients_are_copied():
+    # add hands one gradient array to both parents, sub and reshape,
+    # transpose and concat pass it or a view of it on: no two tensors'
+    # gradients may share memory
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    s = a + b
+    r = s.reshape(3, 2)
+    t = r.transpose((1, 0))
+    d = a - b
+    cat = concat([t, d], axis=1)
+    loss = (cat * cat).sum()
+    loss.backward()
+    grads = [x.grad for x in (a, b, s, r, t, d, cat, loss)]
+    for i, g in enumerate(grads):
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h)
+    # permutations keep the sum of squares: 2(a+b) + 2(a-b) and 2(a+b) - 2(a-b)
+    np.testing.assert_allclose(a.grad, 4.0 * a.data)
+    np.testing.assert_allclose(b.grad, 4.0 * b.data)
+
+
 def test_pow_and_div():
     x = Tensor([2.0], requires_grad=True)
     (x ** 3 / 2.0).sum().backward()

@@ -52,6 +52,26 @@ def test_adam_single_step_reference():
     assert state.t == 1
 
 
+def test_adam_in_place_is_bit_equal_to_the_formula():
+    rng = np.random.default_rng(0)
+    p = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    data = p.data
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    state = init_adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+    ref_p, m, v = p.data.copy(), np.zeros((4, 5)), np.zeros((4, 5))
+    for t in range(1, 4):
+        g = rng.normal(size=(4, 5))
+        adam_step([p], [g], state)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        ref_p = ref_p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(p.data, ref_p)
+        assert np.array_equal(state.m[0], m) and np.array_equal(state.v[0], v)
+    assert p.data is data
+
+
 def test_adam_shape_mismatch():
     p = Tensor(np.zeros(3), requires_grad=True)
     state = init_adam([p])
