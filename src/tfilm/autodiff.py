@@ -60,14 +60,14 @@ class GradReport:
         return "\n".join(lines)
 
 
-def _central(f, params, flat, i, h, base):
-    orig = flat[i]
+def _central(f, params, data, i, h, base):
+    orig = data[i]
     with no_grad():
-        flat[i] = orig + h
+        data[i] = orig + h
         f_plus = f(params).item()
-        flat[i] = orig - h
+        data[i] = orig - h
         f_minus = f(params).item()
-    flat[i] = orig
+    data[i] = orig
     d_plus = (f_plus - base) / h
     d_minus = (base - f_minus) / h
     return (f_plus - f_minus) / (2.0 * h), d_plus, d_minus
@@ -88,11 +88,12 @@ def finite_diff_check(f, params, h=1e-5, tol=1e-4, max_coords=None, seed=0):
            Must be deterministic and must record a tape, so not a model's
            eval forward: run train mode with a fixed dropout seed and step.
         params: leaf Tensors with ``requires_grad=True``; their ``.data``
-           is perturbed in place and restored.
+           is perturbed in place and restored, in any memory order.
         h: perturbation step.
         tol: pass threshold on the relative error.
         max_coords: if set, check at most this many coordinates per
-           parameter (seeded random subset); used for large models.
+           parameter (seeded random subset of row-major flat indices);
+           used for large models.
 
     Raises:
         NonDeterministicFunction: two forward passes at identical
@@ -120,24 +121,24 @@ def finite_diff_check(f, params, h=1e-5, tol=1e-4, max_coords=None, seed=0):
     pick_rng = np.random.default_rng(seed)
     report = GradReport(passed=True, max_rel_error=0.0, h=h, tol=tol)
     for k, p in enumerate(params):
-        flat = p.data.reshape(-1)
-        a_flat = analytic[k].reshape(-1)
-        if max_coords is not None and flat.size > max_coords:
-            coords = pick_rng.choice(flat.size, size=max_coords, replace=False)
+        if max_coords is not None and p.size > max_coords:
+            coords = pick_rng.choice(p.size, size=max_coords, replace=False)
         else:
-            coords = range(flat.size)
+            coords = range(p.size)
         max_err = 0.0
         excluded = 0
-        for i in coords:
-            numeric, d_plus, d_minus = _central(f, params, flat, i, h, base)
+        for flat_i in coords:
+            # a logical index: reshape(-1) would copy non-row-major data
+            i = np.unravel_index(flat_i, p.shape)
+            numeric, d_plus, d_minus = _central(f, params, p.data, i, h, base)
             if abs(d_plus - d_minus) > _KINK_TOL * max(abs(d_plus), abs(d_minus), 1.0):
                 excluded += 1
                 continue
-            a = a_flat[i]
+            a = analytic[k][i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
             if rel >= tol:
                 # refine: kink artifacts vanish at a smaller step
-                numeric, _, _ = _central(f, params, flat, i, h / 5.0, base)
+                numeric, _, _ = _central(f, params, p.data, i, h / 5.0, base)
                 rel_small = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
                 if rel_small < tol and rel_small < 0.2 * rel:
                     excluded += 1

@@ -20,6 +20,10 @@ class NonScalarRoot(TfilmError):
     pass
 
 
+class NoTape(TfilmError):
+    """backward() from a root that recorded no tape."""
+
+
 class NonDeterministicFunction(TfilmError):
     pass
 

@@ -10,7 +10,9 @@ ceil(T / stride).
 Convolution is a sum of GEMMs over blocks of consecutive taps, read as
 strided views of the padded input (the multi-GEMM form of Lavin & Gray
 2016): no im2col buffer over all k taps is built, and the backward
-keeps only the padded input and the weights.
+keeps only the padded input and the weights. Conv weights are stored
+tap-major (see :class:`Conv1dParams`), so each block's weights are a
+view.
 """
 
 from __future__ import annotations
@@ -56,6 +58,15 @@ class Conv1dParams:
 
     weight has shape (out_channels, in_channels, kernel_len);
     bias has shape (out_channels,).
+
+    The weight is the one exception to row-major tensor data: it is
+    stored tap-major (Fortran order), so ``weight.data.T`` is a
+    C-contiguous (kernel_len, in_channels, out_channels) array whose tap
+    blocks are the (g*in_channels, out_channels) matrices conv1d's GEMMs
+    read, and its gradient has the same layout. Only the memory order
+    differs; shape, indexing and values are those of the row-major
+    array. A weight rebound to a row-major array still works: conv1d
+    copies it tap-major once per call.
     """
 
     weight: Tensor
@@ -81,17 +92,30 @@ class Conv1dParams:
         return (self.kernel_len - 1) * self.dilation + 1
 
 
+# output channels per draw of init_conv_params: the draws follow the
+# row-major order of (C_out, C_in, k), so each chunk's temporary is a
+# slab of this many channels rather than a second whole weight
+_INIT_CHUNK = 16
+
+
 def init_conv_params(out_channels, in_channels, kernel_len, rng,
                      stride=1, dilation=1, padding="same", zero=False):
     """Uniform init scaled by 1/sqrt(fan-in); ``zero=True`` for identity-at-init
-    output stages."""
-    if zero:
-        w = np.zeros((out_channels, in_channels, kernel_len))
-    else:
+    output stages; ``rng=None`` allocates the weight without drawing (for
+    loaders that fill it). The weight is tap-major (see
+    :class:`Conv1dParams`) and holds the same values as one row-major
+    ``rng.uniform`` draw of shape (C_out, C_in, k)."""
+    shape = (kernel_len, in_channels, out_channels)
+    w = (np.zeros(shape) if zero else np.empty(shape)).T
+    if not zero and rng is not None:
         bound = 1.0 / math.sqrt(in_channels * kernel_len)
-        w = rng.uniform(-bound, bound, size=(out_channels, in_channels, kernel_len))
+        for o0 in range(0, out_channels, _INIT_CHUNK):
+            o1 = min(o0 + _INIT_CHUNK, out_channels)
+            w[o0:o1] = rng.uniform(-bound, bound, size=(o1 - o0, in_channels, kernel_len))
+    weight = Tensor(0.0, requires_grad=True)
+    weight.data = w     # the constructor would copy it row-major
     return Conv1dParams(
-        weight=Tensor(w, requires_grad=True),
+        weight=weight,
         bias=Tensor(np.zeros(out_channels), requires_grad=True),
         stride=stride,
         dilation=dilation,
@@ -122,14 +146,15 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     consecutive taps: its columns are the strided views
     ``xpad[:, j*d : j*d+span : stride, :]`` of its taps, joined along
     channels only when g > 1, and W_blk is its (g*C_in, C_out) slice of
-    the weights. g is the fewest taps whose columns number at least 16 and
-    hold at least 16384 values (``_BLOCK_COLUMNS``, ``_BLOCK_ELEMS``), at
-    most k: in the SR and paper-scale models, 16-tap blocks at C_in = 1
-    and one tap per GEMM from C_in = 16 up; on short inputs, up to all k
-    taps, which is im2col. The backward closure keeps only the padded
-    input and the weight and bias tensors: it rebuilds each block's
-    columns for dW_blk = cols^T g, and adds g W_blk^T into the gradient
-    of the padded input at the taps' shifted strided slices.
+    the weights, a view when the weight is tap-major. g is the fewest
+    taps whose columns number at least 16 and hold at least 16384 values
+    (``_BLOCK_COLUMNS``, ``_BLOCK_ELEMS``), at most k: in the SR and
+    paper-scale models, 16-tap blocks at C_in = 1 and one tap per GEMM
+    from C_in = 16 up; on short inputs, up to all k taps, which is
+    im2col. The backward closure keeps only the padded input and the
+    weights: it rebuilds each block's columns for dW_blk = cols^T g, and
+    adds g W_blk^T into the gradient of the padded input at the taps'
+    shifted strided slices. The weight gradient is tap-major.
     """
     if x.ndim != 3:
         raise ShapeMismatch("conv1d", x.shape, ("N", "T", "C"))
@@ -175,11 +200,12 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         return taps[:, :, j0:j1].reshape(n, t_out, (j1 - j0) * c)
 
     w, b = p.weight, p.bias
+    # (k, C, C_out): a view of a tap-major weight, one copy of a row-major one
+    wt = np.ascontiguousarray(w.data.T)
 
     def block_weights(j0, j1):
         # ((j1-j0)*C, C_out), rows in the order of the block's columns
-        wb = np.ascontiguousarray(w.data[:, :, j0:j1].transpose(2, 1, 0))
-        return wb.reshape((j1 - j0) * c, cout)
+        return wt[j0:j1].reshape((j1 - j0) * c, cout)
 
     out = np.empty((n, t_out, cout))
     out[...] = b.data
@@ -204,7 +230,7 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
                 for i, j in enumerate(range(j0, j1)):
                     dxpad[:, j * dilation: j * dilation + span: stride] += dcols[:, :, i]
         if dw_taps is not None:
-            w.accumulate_grad(dw_taps.transpose(2, 1, 0))
+            w.accumulate_grad(dw_taps.T)    # tap-major, like the weight
         if dxpad is not None:
             x.accumulate_grad(dxpad[:, pad_l: xpad.shape[1] - pad_r or None, :])
 
@@ -283,20 +309,19 @@ class LstmParams:
 def _init_lstm_cell(input_size, hidden_size, rng):
     bound = 1.0 / math.sqrt(hidden_size)
 
-    def mat(rows, cols):
-        return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
-
-    def vec():
-        return Tensor(rng.uniform(-bound, bound, size=hidden_size), requires_grad=True)
+    def draw(*shape):
+        values = np.empty(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
+        return Tensor(values, requires_grad=True)
 
     p = LstmParams(
         input_size=input_size,
         hidden_size=hidden_size,
-        w_i=mat(hidden_size, input_size), w_f=mat(hidden_size, input_size),
-        w_o=mat(hidden_size, input_size), w_g=mat(hidden_size, input_size),
-        u_i=mat(hidden_size, hidden_size), u_f=mat(hidden_size, hidden_size),
-        u_o=mat(hidden_size, hidden_size), u_g=mat(hidden_size, hidden_size),
-        b_i=vec(), b_f=vec(), b_o=vec(), b_g=vec(),
+        w_i=draw(hidden_size, input_size), w_f=draw(hidden_size, input_size),
+        w_o=draw(hidden_size, input_size), w_g=draw(hidden_size, input_size),
+        u_i=draw(hidden_size, hidden_size), u_f=draw(hidden_size, hidden_size),
+        u_o=draw(hidden_size, hidden_size), u_g=draw(hidden_size, hidden_size),
+        b_i=draw(hidden_size), b_f=draw(hidden_size), b_o=draw(hidden_size),
+        b_g=draw(hidden_size),
     )
     # forget-gate bias offset stabilizes early training
     p.b_f.data = p.b_f.data + 1.0
@@ -304,6 +329,8 @@ def _init_lstm_cell(input_size, hidden_size, rng):
 
 
 def init_lstm_params(input_size, hidden_size, rng, bidirectional=False):
+    """Uniform init scaled by 1/sqrt(hidden_size); ``rng=None`` allocates
+    the weights without drawing."""
     p = _init_lstm_cell(input_size, hidden_size, rng)
     p.bidirectional = bidirectional
     if bidirectional:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -48,7 +49,9 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TFLM"
-CHECKPOINT_VERSION = 1
+# version 2 stores conv weights tap-major (see _record_array); version 1
+# files, row-major throughout, still load
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -258,7 +261,13 @@ class Model:
 def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
     """Deterministically construct and initialize the network."""
     cfg.validate()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return _assemble(cfg, np.random.default_rng(np.random.SeedSequence(seed)), seed)
+
+
+def _assemble(cfg, rng, seed):
+    """The network of a validated ``cfg`` with its initialization drawn from
+    ``rng``; ``rng=None`` allocates the drawn tensors without drawing, for
+    a loader that overwrites every parameter."""
     dropout_id = 0
 
     def next_id():
@@ -324,10 +333,25 @@ def _canonical_config_json(cfg: ModelConfig) -> bytes:
     return json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":")).encode()
 
 
+def _record_array(name, data, version):
+    """The array whose row-major float32 values the record of parameter
+    ``name`` holds: from version 2 on, a conv weight's (k, C_in, C_out)
+    transpose, which is contiguous in its tap-major memory; otherwise
+    ``data`` itself. The record's shape field is always ``data.shape``."""
+    return data.T if version >= 2 and name.endswith(".conv.weight") else data
+
+
 def save_checkpoint(path, model: Model):
     """Binary checkpoint: magic, version, config JSON, then named float32
-    parameter records."""
+    parameter records (name, rank, shape, values in the order of
+    :func:`_record_array`). A file already at ``path`` is unlinked, not
+    truncated: on ext4 (``auto_da_alloc``) truncating a file starts its
+    writeback, and the next overwrite waits for it; on a 2-core machine's
+    ext4 disk that took about 3 s for a 190 MB paper-scale checkpoint,
+    against 0.02 s for a new file."""
     named = model.named_params()
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
@@ -342,7 +366,8 @@ def save_checkpoint(path, model: Model):
             fh.write(struct.pack("<B", p.ndim))
             for extent in p.shape:
                 fh.write(struct.pack("<I", extent))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
+            record = _record_array(name, p.data, CHECKPOINT_VERSION)
+            fh.write(np.ascontiguousarray(record, dtype="<f4"))
 
 
 def _read_exact(fh, n):
@@ -353,17 +378,20 @@ def _read_exact(fh, n):
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild the model from a checkpoint; verifies magic, version and
-    that stored parameter names/shapes agree with the stored config."""
+    """Rebuild the model from a checkpoint of version 1 or 2; verifies
+    magic, version and that stored parameter names/shapes agree with the
+    stored config. The parameters are allocated without a random init and
+    filled from the records."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
             raise BadMagic("not a TFLM checkpoint")
         (version,) = struct.unpack("<H", _read_exact(fh, 2))
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise BadMagic(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
         cfg = ModelConfig.from_dict(json.loads(_read_exact(fh, cfg_len).decode()))
-        model = build_model(cfg, seed=0)
+        cfg.validate()
+        model = _assemble(cfg, None, seed=0)
         expected = dict(model.named_params())
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
         if n_params != len(expected):
@@ -383,8 +411,9 @@ def load_checkpoint(path) -> Model:
                 raise ShapeMismatch(f"checkpoint param {name}", shape, p.shape)
             count = int(np.prod(shape)) if shape else 1
             raw = _read_exact(fh, 4 * count)
-            # into the array build_model allocated; float32 -> float64 is exact
-            p.data[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            # into the allocated array; float32 -> float64 is exact
+            dst = _record_array(name, p.data, version)
+            dst[...] = np.frombuffer(raw, dtype="<f4").reshape(dst.shape)
             seen.add(name)
         if seen != set(expected):
             raise TruncatedFile("checkpoint missing parameters")

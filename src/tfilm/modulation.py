@@ -59,7 +59,8 @@ class TfilmLayerParams:
 
 def init_tfilm_params(channels, block_len, rng, bidirectional=False,
                       pool_extent=2, pool_stride=2):
-    """LSTM hidden size equals the channel count; projection starts at zero."""
+    """LSTM hidden size equals the channel count; projection starts at zero.
+    ``rng=None`` allocates the LSTM weights without drawing."""
     lstm = init_lstm_params(channels, channels, rng, bidirectional=bidirectional)
     h_out = 2 * channels if bidirectional else channels
     return TfilmLayerParams(

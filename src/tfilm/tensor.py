@@ -1,9 +1,14 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
-A ``Tensor`` wraps a contiguous, row-major ``numpy`` array and records
+A ``Tensor`` wraps a contiguous ``numpy`` array and records
 the operations applied to it so that ``backward()`` can push gradients
 to every leaf that was created with ``requires_grad=True``. The tape is
-rebuilt on every forward pass; there is no retained graph.
+rebuilt on every forward pass; there is no retained graph. The array
+is row-major, with one exception: conv weights (and their gradients)
+are stored tap-major, Fortran-ordered, so that conv1d's GEMMs read
+them in place (see :class:`tfilm.layers.Conv1dParams`). Code that
+needs flat positions indexes logically, e.g. through
+``np.unravel_index``, since ``reshape(-1)`` of such an array is a copy.
 
 All computation is float64. Elementwise binary ops require identical
 shapes (scalars are the only broadcast allowed); any richer broadcast
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonDivisibleLength, NonScalarRoot, ShapeMismatch
+from .errors import NonDivisibleLength, NonScalarRoot, NoTape, ShapeMismatch
 
 __all__ = [
     "Tensor",
@@ -67,7 +72,8 @@ class Tensor:
     """A node in the computation graph.
 
     Attributes:
-        data: the value, a contiguous float64 ndarray.
+        data: the value, a contiguous float64 ndarray (row-major except
+            for conv weights; see the module docstring).
         grad: accumulated gradient (same shape as ``data``) or None.
         requires_grad: whether backward should reach this node.
         name: optional diagnostic tag.
@@ -152,9 +158,21 @@ class Tensor:
         Gradients accumulate into ``.grad`` of every reachable node with
         ``requires_grad``; call :meth:`zero_grad` between independent
         backward passes.
+
+        Raises:
+            NonScalarRoot: the root is not a scalar.
+            NoTape: the root does not require grad, so no parameter is
+                reachable: it was computed under :func:`no_grad` (as in an
+                eval-mode forward) or from tensors that require no grad.
         """
         if self.data.size != 1:
             raise NonScalarRoot(f"backward root must be scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise NoTape(
+                "backward root recorded no tape: it was computed under "
+                "no_grad() (an eval-mode forward, say) or from tensors that "
+                "require no grad"
+            )
         topo = []
         seen = set()
         stack = [(self, False)]

@@ -187,7 +187,7 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainRun:
         x, y = batch_tensors(val_idx)
         run.init_val_loss = mse_loss(model.forward(x, mode="eval"), y).item()
         run.best_val_loss = run.init_val_loss
-        best_params = [p.data.copy() for p in params]
+        best_params = [p.data.copy(order="K") for p in params]
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -227,7 +227,7 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainRun:
         if improved:
             run.best_val_loss = val_loss
             if cfg.restore_best:
-                best_params = [p.data.copy() for p in params]
+                best_params = [p.data.copy(order="K") for p in params]
         if out_dir and cfg.save_checkpoints:
             path = out_dir / f"epoch_{epoch:03d}.ckpt"
             save_checkpoint(path, model)
@@ -238,6 +238,7 @@ def train(model: Model, dataset, cfg: TrainConfig) -> TrainRun:
                 run.best_checkpoint = str(best)
 
     if cfg.restore_best and best_params is not None:
+        # the copies kept each array's memory order: conv weights stay tap-major
         for p, data in zip(params, best_params):
             p.data = data
 

@@ -28,6 +28,18 @@ def test_catches_wrong_gradient():
     assert not report.passed
 
 
+def test_fortran_ordered_param_is_perturbed():
+    # conv weights are stored Fortran-ordered; a flat view of such data is a
+    # copy, and perturbing it would leave f unchanged (numeric slope 0)
+    rng = np.random.default_rng(3)
+    w = Tensor(np.zeros((2, 3, 4)), requires_grad=True, name="w")
+    w.data = np.asfortranarray(rng.normal(size=(2, 3, 4)))
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    report = finite_diff_check(lambda ps: ((ps[0] * x) * ps[0]).sum(), [w])
+    assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous
+    assert report.passed, str(report)
+
+
 def test_kink_coordinates_excluded_not_failed():
     # x sits exactly on the relu kink: one-sided slopes disagree
     x = Tensor(np.array([0.0, 1.0]), requires_grad=True, name="x")

@@ -143,6 +143,41 @@ def test_conv1d_kernel_larger_than_input():
         conv1d(Tensor(rng.normal(size=(1, 4, 1))), p)
 
 
+def _is_tap_major(a):
+    return a.T.flags.c_contiguous
+
+
+def test_conv_weight_is_tap_major_with_row_major_draw_values():
+    p = init_conv_params(40, 3, 5, RNG())
+    assert _is_tap_major(p.weight.data) and p.weight.shape == (40, 3, 5)
+    bound = 1.0 / np.sqrt(3 * 5)
+    want = RNG().uniform(-bound, bound, size=(40, 3, 5))
+    assert np.array_equal(p.weight.data, want)
+    # no rng: allocated, nothing drawn
+    assert _is_tap_major(init_conv_params(4, 3, 5, None).weight.data)
+
+
+@pytest.mark.parametrize("cin,t", [(1, 64), (24, 256)], ids=["cin1", "cin24"])
+def test_conv1d_bit_equal_on_tap_major_and_row_major_weights(cin, t):
+    rng = RNG()
+    x_data = rng.normal(size=(2, t, cin))
+    g = None
+    results = []
+    for order in ("F", "C"):
+        p = init_conv_params(6, cin, 9, RNG(), stride=2, dilation=2)
+        p.weight.data = np.array(p.weight.data, order=order)
+        p.bias.data = np.arange(6.0)
+        x = Tensor(x_data, requires_grad=True)
+        out = conv1d(x, p)
+        if g is None:
+            g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, x.grad, p.weight.grad, p.bias.grad))
+        assert _is_tap_major(p.weight.grad)
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+
+
 def test_conv_zero_init():
     rng = RNG()
     p = init_conv_params(2, 1, 3, rng, zero=True)

@@ -1,6 +1,8 @@
 """Model assembly, architecture formulas, forward pass and checkpoints."""
 
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from tfilm.errors import (
     LengthInvariantViolation,
     TruncatedFile,
 )
+import tfilm.model as tmodel
 from tfilm.model import (
     ModelConfig,
     build_model,
@@ -162,6 +165,88 @@ def test_checkpoint_preserves_config(tmp_path):
     save_checkpoint(path, model)
     loaded = load_checkpoint(path)
     assert loaded.cfg == MINI
+
+
+def _conv_weights(model):
+    return [p for name, p in model.named_params() if name.endswith(".conv.weight")]
+
+
+def test_conv_weights_tap_major_after_build_and_load(tmp_path):
+    model = _perturbed(MINI, seed=4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    for m in (build_model(MINI, seed=4), load_checkpoint(path)):
+        weights = _conv_weights(m)
+        assert len(weights) == 2 * MINI.depth + 2
+        assert all(w.data.T.flags.c_contiguous for w in weights)
+
+
+def test_checkpoint_bytes_do_not_depend_on_weight_layout(tmp_path):
+    # _perturbed rebinds the final conv weight to a row-major array
+    model = _perturbed(MINI, seed=4)
+    assert model.final.conv.weight.data.flags.c_contiguous
+    save_checkpoint(tmp_path / "a.ckpt", model)
+    for w in _conv_weights(model):
+        w.data = np.asfortranarray(w.data)
+    save_checkpoint(tmp_path / "b.ckpt", model)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_save_checkpoint_replaces_rather_than_truncates(tmp_path):
+    # a second name for the old file keeps its bytes: the old file was
+    # unlinked, not truncated and rewritten
+    path, old = tmp_path / "m.ckpt", tmp_path / "old.ckpt"
+    save_checkpoint(path, build_model(MINI, seed=1))
+    before = path.read_bytes()
+    os.link(path, old)
+    save_checkpoint(path, build_model(MINI, seed=2))
+    assert old.read_bytes() == before
+    assert path.read_bytes() != before
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    model = _perturbed(MINI, seed=5)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint built or drew an initialization")
+
+    monkeypatch.setattr(tmodel, "build_model", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded = load_checkpoint(path)
+    for a, b in zip(loaded.params(), model.params()):
+        assert np.array_equal(a.data, b.data.astype(np.float32).astype(np.float64))
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.tflm"
+
+
+def _v1_fixture_model():
+    """The model that data/checkpoint_v1.tflm was saved from by the version-1
+    writer (row-major records): every tensor moved off its init by noise."""
+    cfg = ModelConfig(depth=1, patch_length=32, max_filters=4, tfilm_blocks=4)
+    model = build_model(cfg, seed=3)
+    rng = np.random.default_rng(2019)
+    for p in model.params():
+        p.data = p.data + rng.normal(0.0, 0.1, p.shape)
+    return model
+
+
+def test_v1_checkpoint_loads_bit_equal(tmp_path):
+    assert V1_FIXTURE.read_bytes()[4:6] == b"\x01\x00"
+    loaded = load_checkpoint(V1_FIXTURE)
+    source = _v1_fixture_model()
+    assert loaded.cfg == source.cfg
+    for (name, a), b in zip(loaded.named_params(), source.params()):
+        assert np.array_equal(a.data, b.data.astype(np.float32).astype(np.float64)), name
+    assert all(w.data.T.flags.c_contiguous for w in _conv_weights(loaded))
+    # re-saved as the current version, the values survive unchanged
+    path = tmp_path / "v2.ckpt"
+    save_checkpoint(path, loaded)
+    assert path.read_bytes()[4:6] == b"\x02\x00"
+    for a, b in zip(load_checkpoint(path).params(), loaded.params()):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from tfilm.errors import NonDivisibleLength, NonScalarRoot, ShapeMismatch
+from tfilm.errors import NonDivisibleLength, NonScalarRoot, NoTape, ShapeMismatch
 from tfilm.tensor import (
     BlockTensor,
     Tensor,
     _sigmoid,
     concat,
+    no_grad,
     reshape_from_blocks,
     reshape_to_blocks,
 )
@@ -189,3 +190,14 @@ def test_block_roundtrip_bit_exact():
 def test_block_reshape_rejects_non_divisible():
     with pytest.raises(NonDivisibleLength):
         reshape_to_blocks(Tensor(np.zeros((10, 2))), 4)
+
+
+def test_backward_without_tape_raises():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with no_grad():
+        loss = (w * w).sum()
+    with pytest.raises(NoTape):
+        loss.backward()
+    with pytest.raises(NoTape):
+        (Tensor([1.0, 2.0]) * 3.0).sum().backward()
+    assert w.grad is None
