@@ -1,7 +1,7 @@
 """Run the finite-difference gradient suites and print the report.
 
 Every differentiable piece of the library is compared against central
-differences; relu/maxpool tie points are excluded rather than failed.
+differences; relu kinks and ties of a max are excluded rather than failed.
 """
 
 import time

@@ -2,7 +2,7 @@
 
 The tape in :mod:`tfilm.tensor` produces analytic gradients; this module
 provides the independent numeric check used throughout the test suite.
-Coordinates sitting on a kink (relu at 0, maxpool ties) are detected by
+Coordinates sitting on a kink (relu at 0, ties of a max) are detected by
 comparing the two one-sided difference quotients and are excluded from
 the comparison rather than reported as failures.
 """
@@ -78,7 +78,7 @@ def finite_diff_check(f, params, h=1e-5, tol=1e-4, max_coords=None, seed=0):
 
     Coordinates are excluded (not failed) when they sit on a
     non-differentiable point. Two detectors cover this: the one-sided
-    slopes disagreeing (exact relu/maxpool ties), and a refinement pass
+    slopes disagreeing (exact relu kinks or max ties), and a refinement pass
     that re-checks failing coordinates at h/5 — a kink crossed inside the
     original stencil leaves the smaller stencil and the error collapses,
     while a genuine gradient bug persists at any step size.

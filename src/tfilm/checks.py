@@ -15,7 +15,6 @@ from .layers import (
     init_lstm_params,
     lstm_scan,
     lstm_step,
-    maxpool1d,
     subpixel_shuffle,
 )
 from .model import ModelConfig, build_model
@@ -56,9 +55,6 @@ def _layer_checks(results, tol, h):
     p = init_conv_params(2, 24, 5, rng, stride=2, dilation=2, padding="same")
     _check("conv1d.taps", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h, max_coords=60)
-
-    x = Tensor(rng.normal(size=(2, 14, 4)), requires_grad=True, name="x")
-    _check("maxpool1d", lambda ps: _sq(maxpool1d(ps[0], 3, 2)), [x], results, tol, h)
 
     lstm = init_lstm_params(3, 4, rng)
     xt = Tensor(rng.normal(size=(2, 3)), requires_grad=True, name="x_t")

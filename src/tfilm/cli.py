@@ -20,6 +20,7 @@ import numpy as np
 from . import errors
 from .checks import MODULES, run_gradchecks
 from .data import (
+    PatchDataset,
     SignalAsset,
     make_pairs,
     make_patches,
@@ -33,8 +34,8 @@ from .data import (
     zero_mask,
 )
 from .dsp import degrade, spline_upsample
+from .experiments import impute_input
 from .model import ModelConfig, build_model, load_checkpoint
-from .tensor import Tensor
 from .train import TrainConfig, evaluate, train
 
 EXIT_OK = 0
@@ -147,10 +148,6 @@ def _model_config(config):
     return ModelConfig.from_dict(fields) if fields else ModelConfig()
 
 
-def _load_model(ckpt):
-    return load_checkpoint(ckpt)
-
-
 # --- subcommand bodies ----------------------------------------------------------
 
 
@@ -179,24 +176,12 @@ def _cmd_degrade(args):
     return EXIT_OK
 
 
-def _load_dir_pairs(data_dir, r, patch_length, stride, seed):
+def _load_dir_pairs(data_dir, r):
     files = sorted(p for p in Path(data_dir).iterdir()
                    if p.suffix in (".raw", ".wav", ".csv"))
     if not files:
         raise errors.EmptyDataset(f"no signal files in {data_dir}")
-    all_pairs = []
-    datasets = []
-    for f in files:
-        asset = _read_signal(f)
-        pair = make_pairs(asset, r)
-        all_pairs.append(pair)
-        datasets.append(make_patches(pair, patch_length, stride))
-    from .data import PatchDataset
-    merged = PatchDataset(
-        [p for d in datasets for p in d.pairs], patch_length,
-        stride or patch_length // 2,
-        [o for d in datasets for o in d.offsets], seed)
-    return all_pairs, merged
+    return [make_pairs(_read_signal(f), r) for f in files]
 
 
 def _cmd_train(args):
@@ -216,7 +201,8 @@ def _cmd_train(args):
             {**model_cfg.to_dict(), "patch_length": patch_length})
     model = build_model(model_cfg, seed=seed)
 
-    _, dataset = _load_dir_pairs(args.data, r, patch_length, stride, seed)
+    dataset = PatchDataset.concat(
+        [make_patches(p, patch_length, stride) for p in _load_dir_pairs(args.data, r)], seed)
     train_cfg = TrainConfig(
         epochs=int(config.get("train.epochs", 50)),
         lr=float(config.get("train.lr", 3e-4)),
@@ -241,12 +227,10 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    model = _load_model(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     r = args.r
-    pairs, _ = _load_dir_pairs(args.data, r, model.cfg.patch_length, None, 0)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    eval_pairs = [(x.samples, y.samples) for x, y in pairs]
-    report = evaluate(model, eval_pairs, metrics=metrics)
+    report = evaluate(model, _load_dir_pairs(args.data, r), metrics=metrics)
     report.to_csv(args.out)
     _emit_resolved(args.out, "eval", {
         "ckpt": str(args.ckpt), "data": str(args.data), "r": r,
@@ -256,19 +240,9 @@ def _cmd_eval(args):
 
 
 def _cmd_upsample(args):
-    model = _load_model(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     asset = _read_signal(getattr(args, "in"))
-    expanded = spline_upsample(asset.samples, args.r)
-    usable = (expanded.shape[0] // model.cfg.patch_length) * model.cfg.patch_length
-    if usable == 0:
-        raise errors.TooShort(
-            f"input expands to {expanded.shape[0]} samples, "
-            f"shorter than one patch ({model.cfg.patch_length})")
-    out = np.empty((usable, 1))
-    for start in range(0, usable, model.cfg.patch_length):
-        chunk = expanded[start:start + model.cfg.patch_length]
-        out[start:start + model.cfg.patch_length] = model.forward(
-            Tensor(chunk[None]), mode="eval").data[0]
+    out = model.infer(spline_upsample(asset.samples, args.r))[:, None]
     rate = asset.rate * args.r if asset.rate else 0
     _write_signal(args.out, SignalAsset(out, rate, {
         "source": str(getattr(args, "in")), "r": args.r, "ckpt": str(args.ckpt)}))
@@ -279,22 +253,14 @@ def _cmd_upsample(args):
 
 
 def _cmd_impute(args):
-    model = _load_model(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     asset = _read_signal(getattr(args, "in"))
     x = asset.samples[:, 0]
     masked, mask = zero_mask(x, args.rate, seed=args.seed)
-    from .experiments import _impute_input
-    inp = _impute_input(masked, mask)
+    inp = impute_input(masked, mask)
     if model.cfg.input_channels == 1:
         inp = inp[:, 0:1]  # spline-filled series only, no mask channel
-    usable = (inp.shape[0] // model.cfg.patch_length) * model.cfg.patch_length
-    if usable == 0:
-        raise errors.TooShort("input shorter than one model patch")
-    out = masked.copy()
-    for start in range(0, usable, model.cfg.patch_length):
-        chunk = inp[start:start + model.cfg.patch_length]
-        pred = model.forward(Tensor(chunk[None]), mode="eval").data[0, :, 0]
-        out[start:start + model.cfg.patch_length] = pred
+    out = model.infer(inp)
     out[~mask] = x[~mask]  # observed samples pass through untouched
     _write_signal(args.out, SignalAsset(out, asset.rate, {
         "source": str(getattr(args, "in")), "rate": args.rate,

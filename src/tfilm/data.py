@@ -91,6 +91,14 @@ class PatchDataset:
     def __len__(self):
         return len(self.pairs)
 
+    @staticmethod
+    def concat(datasets, seed=0):
+        """The patches and offsets of ``datasets`` in order, as one dataset
+        with the patch length and stride of the first, which all share."""
+        first = datasets[0]
+        return PatchDataset([p for d in datasets for p in d.pairs], first.patch_length,
+                            first.stride, [o for d in datasets for o in d.offsets], seed)
+
 
 # --- synthetic generators -----------------------------------------------------
 

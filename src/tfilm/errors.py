@@ -38,10 +38,6 @@ class KernelLargerThanInput(TfilmError):
     pass
 
 
-class WindowLargerThanInput(TfilmError):
-    pass
-
-
 class ChannelsNotDivisible(TfilmError):
     pass
 

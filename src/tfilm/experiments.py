@@ -19,15 +19,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import make_pairs, make_patches, synth_signal, zero_mask
+from .data import PatchDataset, make_pairs, make_patches, synth_signal, zero_mask
 from .dsp import natural_cubic_spline
 from .model import ModelConfig, build_model, count_params
-from .tensor import Tensor
 from .train import TrainConfig, evaluate, train
 
 __all__ = [
     "match_conv_filters",
     "spline_impute",
+    "impute_input",
     "SuperResolutionResult",
     "make_sr_corpus",
     "run_super_resolution_comparison",
@@ -99,11 +99,8 @@ class SuperResolutionResult:
 def _train_on_pairs(cfg, pairs, patch_length, stride, seed, epochs, lr, batch_size,
                     out_dir=None, min_delta=0.0):
     model = build_model(cfg, seed=seed)
-    datasets = [make_patches(p, patch_length, stride) for p in pairs]
-    merged_pairs = [pp for ds in datasets for pp in ds.pairs]
-    merged_offsets = [o for ds in datasets for o in ds.offsets]
-    from .data import PatchDataset
-    dataset = PatchDataset(merged_pairs, patch_length, stride, merged_offsets, seed)
+    dataset = PatchDataset.concat(
+        [make_patches(p, patch_length, stride) for p in pairs], seed)
     run = train(model, dataset, TrainConfig(
         epochs=epochs, lr=lr, batch_size=batch_size, seed=seed,
         out_dir=out_dir, save_checkpoints=out_dir is not None,
@@ -195,7 +192,7 @@ class ImputationResult:
     l2_spline: float
 
 
-def _impute_input(masked, mask):
+def impute_input(masked, mask):
     """Model input for imputation: spline-filled series plus the mask
     indicator. The residual connection then makes the untrained model
     coincide with the spline baseline, and training learns a correction."""
@@ -204,8 +201,7 @@ def _impute_input(masked, mask):
 
 
 def _impute_l2(model, masked, mask, original):
-    x = _impute_input(masked, mask)
-    pred = model.forward(Tensor(x[None]), mode="eval").data[0, :, 0]
+    pred = model.infer(impute_input(masked, mask))
     return float(np.mean((pred - original) ** 2))
 
 
@@ -249,7 +245,7 @@ def run_imputation_comparison(
             for i, s in enumerate(train_series)
         ]
         pairs = [
-            (_impute_input(m, mk), s.samples[:, 0:1])
+            (impute_input(m, mk), s.samples[:, 0:1])
             for (m, mk), s in zip(masked_train, train_series)
         ]
         masked_test = [

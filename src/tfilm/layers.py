@@ -1,5 +1,5 @@
-"""1D neural-network building blocks: convolution, pooling, LSTM,
-subpixel shuffle, relu and dropout.
+"""1D neural-network building blocks: convolution, LSTM, subpixel
+shuffle and dropout.
 
 Inputs are batched (N, T, C) tensors throughout. Convolution uses the
 cross-correlation convention (no kernel flip). Same-padding pads
@@ -30,7 +30,6 @@ from .errors import (
     InvalidRate,
     KernelLargerThanInput,
     ShapeMismatch,
-    WindowLargerThanInput,
 )
 from .tensor import Tensor, _sigmoid, concat
 
@@ -38,11 +37,9 @@ __all__ = [
     "Conv1dParams",
     "LstmParams",
     "conv1d",
-    "maxpool1d",
     "lstm_step",
     "lstm_scan",
     "subpixel_shuffle",
-    "relu",
     "dropout",
     "init_conv_params",
     "init_lstm_params",
@@ -237,36 +234,6 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     return Tensor._from_op(out, (x, w, b), backward)
 
 
-# --- pooling ------------------------------------------------------------------
-
-
-def maxpool1d(x: Tensor, extent: int, stride: int) -> Tensor:
-    """Window maxima over the time axis; output length floor((T-f)/s)+1.
-
-    Ties route the gradient to the earliest index in the window.
-    """
-    if x.ndim != 3:
-        raise ShapeMismatch("maxpool1d", x.shape, ("N", "T", "C"))
-    if extent < 1 or stride < 1:
-        raise ValueError("extent and stride must be >= 1")
-    n, t, c = x.shape
-    if extent > t:
-        raise WindowLargerThanInput(f"window {extent} exceeds input length {t}")
-    t_out = (t - extent) // stride + 1
-    idx = (np.arange(t_out) * stride)[:, None] + np.arange(extent)
-    windows = x.data[:, idx, :]                          # (N, T', f, C)
-    arg = windows.argmax(axis=2)
-    out = windows.max(axis=2)
-
-    def backward(g, x=x, arg=arg):
-        dx = np.zeros_like(x.data)
-        ni, ti, ci = np.indices(arg.shape)
-        np.add.at(dx, (ni, ti * stride + arg, ci), g)
-        x.accumulate_grad(dx)
-
-    return Tensor._from_op(out, (x,), backward)
-
-
 # --- LSTM ---------------------------------------------------------------------
 
 
@@ -458,7 +425,7 @@ def lstm_scan(xs: Tensor, p: LstmParams) -> Tensor:
     return concat([fwd, bwd], axis=2)
 
 
-# --- rearrangement and pointwise ops -------------------------------------------
+# --- rearrangement and dropout ------------------------------------------------
 
 
 def subpixel_shuffle(x: Tensor, r: int) -> Tensor:
@@ -474,10 +441,6 @@ def subpixel_shuffle(x: Tensor, r: int) -> Tensor:
     if r == 1:
         return x
     return x.reshape(n, t, c // r, r).transpose((0, 1, 3, 2)).reshape(n, t * r, c // r)
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
 
 
 def dropout(x: Tensor, rate: float, rng=None, mode: str = "train") -> Tensor:

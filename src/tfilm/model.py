@@ -18,7 +18,7 @@ import contextlib
 import json
 import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,9 @@ CHECKPOINT_MAGIC = b"TFLM"
 # version 2 stores conv weights tap-major (see _record_array); version 1
 # files, row-major throughout, still load
 CHECKPOINT_VERSION = 2
+# config fields that the forward pass never read, dropped from ModelConfig;
+# from_dict ignores them in older headers
+_RETIRED_KEYS = frozenset({"pool_extent", "pool_stride"})
 
 
 @dataclass
@@ -71,8 +74,6 @@ class ModelConfig:
     use_skip_stacking: bool = True
     use_residual: bool = True
     bidirectional: bool = False
-    pool_extent: int = 2
-    pool_stride: int = 2
 
     # -- architecture formulas -------------------------------------------------
 
@@ -98,6 +99,15 @@ class ModelConfig:
         """Time extent entering each TFiLM site: after down blocks 1..K,
         then after the bottleneck conv."""
         return [self.patch_length // 2 ** d for d in range(1, self.depth + 2)]
+
+    def length_unit(self):
+        """The network accepts exactly the input lengths that are multiples
+        of this: with TFiLM, those whose extent at every TFiLM site is a
+        whole number of blocks (``validate`` makes it a multiple of
+        2^(K+1)); without, those the K+1 stride-2 stages halve evenly."""
+        if self.use_tfilm:
+            return self.patch_length // self.tfilm_blocks
+        return 2 ** (self.depth + 1)
 
     def validate(self):
         if self.depth < 0:
@@ -127,7 +137,16 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d):
-        return ModelConfig(**d)
+        """The config of a dict of field values; ignores the retired keys
+        (``_RETIRED_KEYS``) and rejects any other unknown key."""
+        if not isinstance(d, dict):
+            raise ConfigInvariantViolation(
+                f"model config must be a mapping, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(ModelConfig)} - _RETIRED_KEYS
+        if unknown:
+            raise ConfigInvariantViolation(
+                f"unknown model config keys: {', '.join(sorted(unknown))}")
+        return ModelConfig(**{k: v for k, v in d.items() if k not in _RETIRED_KEYS})
 
 
 @dataclass
@@ -186,22 +205,10 @@ class Model:
     # -- forward ----------------------------------------------------------------
 
     def _check_length(self, t):
-        cfg = self.cfg
-        if t % 2 ** (cfg.depth + 1) != 0:
+        unit = self.cfg.length_unit()
+        if t % unit != 0:
             raise LengthInvariantViolation(
-                f"input length {t} not divisible by 2^(K+1)"
-            )
-        if cfg.use_tfilm:
-            for stage, t_d in zip(
-                self.down + [self.bottleneck],
-                (t // 2 ** d for d in range(1, cfg.depth + 2)),
-            ):
-                b = stage.tfilm.block_len if stage.tfilm else 1
-                if t_d % b != 0:
-                    raise LengthInvariantViolation(
-                        f"length {t}: internal extent {t_d} not divisible by "
-                        f"TFiLM block length {b} at {stage.name}"
-                    )
+                f"input length {t} is not a multiple of {unit}")
 
     def _dropout(self, x, stage, mode, dropout_seed, step):
         if stage.dropout_rate <= 0.0:
@@ -257,6 +264,22 @@ class Model:
             h = h + x[:, :, 0:1]
         return h
 
+    def infer(self, x) -> np.ndarray:
+        """Channel 0 of one eval forward over a whole (T, C) series.
+
+        The series is zero-padded on the right to the next multiple of
+        ``cfg.length_unit()``, so any length runs, and the output is
+        cropped back to T samples. On a valid length nothing is padded and
+        the result equals ``forward(...).data[0, :, 0]``. Memory grows
+        with T: there is no windowing.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.cfg.input_channels:
+            raise ShapeMismatch("infer", x.shape, ("T", self.cfg.input_channels))
+        t = x.shape[0]
+        padded = np.pad(x, ((0, -t % self.cfg.length_unit()), (0, 0)))
+        return self.forward(Tensor(padded[None]), mode="eval").data[0, :t, 0]
+
 
 def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
     """Deterministically construct and initialize the network."""
@@ -289,9 +312,7 @@ def _assemble(cfg, rng, seed):
         if cfg.use_tfilm:
             tf = init_tfilm_params(
                 channels, cfg.tfilm_block_len(time_dims[d - 1]), rng,
-                bidirectional=cfg.bidirectional,
-                pool_extent=cfg.pool_extent, pool_stride=cfg.pool_stride,
-            )
+                bidirectional=cfg.bidirectional)
         down.append(_Stage(f"down{d}", conv, tf, cfg.down_dropout, next_id()))
         skip_channels.append(channels)
 
@@ -302,9 +323,7 @@ def _assemble(cfg, rng, seed):
     if cfg.use_tfilm:
         tf = init_tfilm_params(
             channels, cfg.tfilm_block_len(time_dims[cfg.depth]), rng,
-            bidirectional=cfg.bidirectional,
-            pool_extent=cfg.pool_extent, pool_stride=cfg.pool_stride,
-        )
+            bidirectional=cfg.bidirectional)
     bottleneck = _Stage("bottleneck", conv, tf, cfg.dropout_rate, next_id())
 
     up = []

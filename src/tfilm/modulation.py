@@ -34,11 +34,6 @@ class TfilmLayerParams:
     The projection maps the LSTM output (width H, or 2H when
     bidirectional) to 2C values per block: the first C become gamma - 1,
     the last C become beta.
-
-    ``pool_extent``/``pool_stride`` describe the intermediate max pool
-    applied before the block-wide max. Composing maxima is itself a max,
-    so the forward pass computes a single block-wide max; the fields are
-    retained as configuration metadata.
     """
 
     block_len: int
@@ -46,8 +41,6 @@ class TfilmLayerParams:
     lstm: LstmParams
     proj_w: Tensor  # (2C, H) or (2C, 2H)
     proj_b: Tensor  # (2C,)
-    pool_extent: int = 2
-    pool_stride: int = 2
 
     @property
     def bidirectional(self):
@@ -57,8 +50,7 @@ class TfilmLayerParams:
         return self.lstm.tensors() + [self.proj_w, self.proj_b]
 
 
-def init_tfilm_params(channels, block_len, rng, bidirectional=False,
-                      pool_extent=2, pool_stride=2):
+def init_tfilm_params(channels, block_len, rng, bidirectional=False):
     """LSTM hidden size equals the channel count; projection starts at zero.
     ``rng=None`` allocates the LSTM weights without drawing."""
     lstm = init_lstm_params(channels, channels, rng, bidirectional=bidirectional)
@@ -69,8 +61,6 @@ def init_tfilm_params(channels, block_len, rng, bidirectional=False,
         lstm=lstm,
         proj_w=Tensor(np.zeros((2 * channels, h_out)), requires_grad=True),
         proj_b=Tensor(np.zeros(2 * channels), requires_grad=True),
-        pool_extent=pool_extent,
-        pool_stride=pool_stride,
     )
 
 

@@ -89,16 +89,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad=False, name=None):
-        return Tensor(np.zeros(shape), requires_grad=requires_grad, name=name)
-
-    @staticmethod
-    def ones(shape, requires_grad=False, name=None):
-        return Tensor(np.ones(shape), requires_grad=requires_grad, name=name)
-
     @staticmethod
     def _from_op(data, parents, backward):
         out = Tensor(data)

@@ -303,7 +303,8 @@ def evaluate(model: Model | None, pairs, metrics=("snr", "lsd", "l2"),
     """Score model outputs and the spline baseline against the targets.
 
     ``pairs`` is a list of (x, y) arrays or SignalAssets where x is the
-    model input (already spline-expanded). Infinite SNR values are
+    model input (already spline-expanded), predicted through
+    :meth:`Model.infer`, so any length works. Infinite SNR values are
     excluded from the aggregate, with a count reported.
     """
     report = EvalReport(metrics=tuple(metrics))
@@ -317,10 +318,7 @@ def evaluate(model: Model | None, pairs, metrics=("snr", "lsd", "l2"),
         if ya.ndim == 1:
             ya = ya[:, None]
         target = ya[:, 0]
-        if model is not None:
-            pred = model.forward(Tensor(xa[None]), mode="eval").data[0, :, 0]
-        else:
-            pred = xa[:, 0]
+        pred = model.infer(xa) if model is not None else xa[:, 0]
         row = {}
         for col, approx in (("spline", xa[:, 0]), ("model", pred)):
             row[col] = {}

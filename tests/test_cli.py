@@ -8,7 +8,16 @@ import pytest
 
 from tfilm import cli
 from tfilm.cli import main, openblas_thread_calls
-from tfilm.data import read_csv_signal, read_rawf32, write_csv_signal, SignalAsset
+from tfilm.data import (
+    SignalAsset,
+    read_csv_signal,
+    read_rawf32,
+    write_csv_signal,
+    write_rawf32,
+    zero_mask,
+)
+from tfilm.dsp import spline_upsample
+from tfilm.model import load_checkpoint
 
 
 @pytest.fixture()
@@ -144,6 +153,13 @@ def test_train_eval_upsample_pipeline(tmp_path, spec_file):
                  "--data", str(data), "-r", "2", "--metrics", "snr",
                  "--out", str(report)]) == 0
     assert report.read_text().startswith("pair,")
+    # eval cuts no patches: a file shorter than patch_length (256) scores too
+    short = tmp_path / "short"
+    short.mkdir()
+    write_rawf32(short / "sig.raw", SignalAsset(np.sin(0.05 * np.arange(200))))
+    assert main(["eval", "--ckpt", str(run_dir / "best.ckpt"),
+                 "--data", str(short), "-r", "2", "--metrics", "snr",
+                 "--out", str(report)]) == 0
 
     low = tmp_path / "low.raw"
     main(["degrade", "--in", str(data / "sig.raw"), "-r", "2",
@@ -152,6 +168,20 @@ def test_train_eval_upsample_pipeline(tmp_path, spec_file):
     assert main(["upsample", "--ckpt", str(run_dir / "best.ckpt"),
                  "--in", str(low), "-r", "2", "--out", str(sr)]) == 0
     assert read_rawf32(sr).length == 1024
+
+    # one forward over the whole signal, the prediction eval scores; no
+    # length is cut, not one that leaves a partial patch (600 -> 1200) nor
+    # one shorter than a patch (100 -> 200)
+    model = load_checkpoint(run_dir / "best.ckpt")
+    for n in (600, 100):
+        low = tmp_path / f"low{n}.raw"
+        write_rawf32(low, SignalAsset(np.sin(0.3 * np.arange(n)), 8000.0))
+        sr = tmp_path / f"sr{n}.raw"
+        assert main(["upsample", "--ckpt", str(run_dir / "best.ckpt"),
+                     "--in", str(low), "-r", "2", "--out", str(sr)]) == 0
+        expected = model.infer(spline_upsample(read_rawf32(low).samples, 2))
+        np.testing.assert_array_equal(read_rawf32(sr).samples[:, 0],
+                                      expected.astype(np.float32))
 
 
 def test_train_reruns_identically(tmp_path, spec_file):
@@ -165,14 +195,25 @@ def test_train_reruns_identically(tmp_path, spec_file):
 
 def test_impute_preserves_observed(tmp_path, spec_file):
     rc, run_dir, _ = _train_tiny(tmp_path, spec_file)
-    series = tmp_path / "walk.csv"
-    x = np.cumsum(np.random.default_rng(0).normal(size=512)) * 0.02
-    write_csv_signal(series, SignalAsset(x))
-    out = tmp_path / "filled.csv"
-    assert main(["impute", "--ckpt", str(run_dir / "best.ckpt"),
-                 "--in", str(series), "--rate", "0.2", "--seed", "4",
-                 "--out", str(out)]) == 0
-    from tfilm.data import zero_mask
-    filled = read_csv_signal(out).samples[:, 0]
-    _, mask = zero_mask(x, 0.2, seed=4)
-    assert np.array_equal(filled[~mask], x[~mask])
+    # 600 samples end in a partial patch, whose masked samples are filled too
+    for n in (512, 600):
+        series = tmp_path / f"walk{n}.csv"
+        x = np.cumsum(np.random.default_rng(0).normal(size=n)) * 0.02
+        write_csv_signal(series, SignalAsset(x))
+        out = tmp_path / f"filled{n}.csv"
+        assert main(["impute", "--ckpt", str(run_dir / "best.ckpt"),
+                     "--in", str(series), "--rate", "0.2", "--seed", "4",
+                     "--out", str(out)]) == 0
+        filled = read_csv_signal(out).samples[:, 0]
+        _, mask = zero_mask(x, 0.2, seed=4)
+        assert np.array_equal(filled[~mask], x[~mask])
+        assert n == 512 or mask[512:].any()
+        assert np.all(filled[512:][mask[512:]] != 0.0)
+
+
+def test_train_unknown_model_key_is_usage_error(tmp_path, spec_file):
+    data = tmp_path / "data"
+    data.mkdir()
+    main(["synth", "--spec", str(spec_file), "--out", str(data / "sig.raw")])
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--set", "model.bogus=1"]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tfilm.data import (
+    PatchDataset,
     SignalAsset,
     make_pairs,
     make_patches,
@@ -98,6 +99,16 @@ def test_make_patches_offsets_and_default_stride():
     assert ds.stride == 8
     assert ds.offsets == list(range(0, 49, 8))
     np.testing.assert_array_equal(ds.pairs[1][0][:, 0], np.arange(8.0, 24.0))
+
+
+def test_patch_dataset_concat_keeps_order_offsets_and_stride():
+    a, b = SignalAsset(np.arange(64.0)), SignalAsset(np.arange(100.0, 140.0))
+    parts = [make_patches((a, a), patch_length=16), make_patches((b, b), patch_length=16)]
+    merged = PatchDataset.concat(parts, seed=5)
+    assert (merged.patch_length, merged.stride, merged.seed) == (16, 8, 5)
+    assert merged.offsets == parts[0].offsets + parts[1].offsets
+    assert len(merged) == len(parts[0]) + len(parts[1])
+    np.testing.assert_array_equal(merged.pairs[len(parts[0])][0], parts[1].pairs[0][0])
 
 
 def test_make_patches_too_long():

@@ -4,7 +4,7 @@ protocols themselves run under the slow acceptance tests."""
 import numpy as np
 
 from tfilm.data import zero_mask
-from tfilm.experiments import match_conv_filters, spline_impute, _impute_input
+from tfilm.experiments import impute_input, match_conv_filters, spline_impute
 from tfilm.model import ModelConfig, build_model, count_params
 
 
@@ -43,7 +43,7 @@ def test_impute_input_layout():
     rng = np.random.default_rng(2)
     x = np.cumsum(rng.normal(size=64))
     masked, mask = zero_mask(x, 0.2, seed=3)
-    inp = _impute_input(masked, mask)
+    inp = impute_input(masked, mask)
     assert inp.shape == (64, 2)
     assert np.array_equal(inp[:, 1], mask.astype(np.float64))
     assert np.array_equal(inp[~mask, 0], x[~mask])

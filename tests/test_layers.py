@@ -1,4 +1,4 @@
-"""Convolution, pooling, LSTM, subpixel shuffle and dropout."""
+"""Convolution, LSTM, subpixel shuffle and dropout."""
 
 import tracemalloc
 
@@ -9,7 +9,6 @@ from tfilm.errors import (
     ChannelMismatch,
     ChannelsNotDivisible,
     KernelLargerThanInput,
-    WindowLargerThanInput,
 )
 from tfilm.layers import (
     conv1d,
@@ -18,8 +17,6 @@ from tfilm.layers import (
     init_lstm_params,
     lstm_scan,
     lstm_step,
-    maxpool1d,
-    relu,
     subpixel_shuffle,
 )
 from tfilm.tensor import Tensor, concat
@@ -184,26 +181,6 @@ def test_conv_zero_init():
     assert np.all(p.weight.data == 0.0) and np.all(p.bias.data == 0.0)
 
 
-# --- maxpool ------------------------------------------------------------------
-
-
-def test_maxpool_values():
-    x = Tensor(np.array([[[1.0], [3.0], [2.0], [5.0]]]))
-    out = maxpool1d(x, 2, 2)
-    np.testing.assert_array_equal(out.data, [[[3.0], [5.0]]])
-
-
-def test_maxpool_window_too_large():
-    with pytest.raises(WindowLargerThanInput):
-        maxpool1d(Tensor(np.zeros((1, 3, 1))), 4, 1)
-
-
-def test_maxpool_tie_routes_to_first():
-    x = Tensor(np.array([[[2.0], [2.0]]]), requires_grad=True)
-    maxpool1d(x, 2, 2).sum().backward()
-    np.testing.assert_array_equal(x.grad, [[[1.0], [0.0]]])
-
-
 # --- lstm ---------------------------------------------------------------------
 
 
@@ -292,7 +269,7 @@ def test_bidirectional_scan_concatenates_reverse():
                                atol=1e-12)
 
 
-# --- subpixel / relu / dropout ------------------------------------------------
+# --- subpixel / dropout -------------------------------------------------------
 
 
 def test_subpixel_shuffle_interleaves():
@@ -308,11 +285,6 @@ def test_subpixel_shuffle_interleaves():
 def test_subpixel_requires_divisible_channels():
     with pytest.raises(ChannelsNotDivisible):
         subpixel_shuffle(Tensor(np.zeros((1, 4, 3))), 2)
-
-
-def test_relu_clips_negatives():
-    out = relu(Tensor(np.array([-1.0, 2.0])))
-    np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
 
 def test_dropout_eval_is_identity():

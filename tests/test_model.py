@@ -1,7 +1,10 @@
 """Model assembly, architecture formulas, forward pass and checkpoints."""
 
+import json
 import os
+import struct
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,8 @@ from tfilm.errors import (
     BadMagic,
     ConfigInvariantViolation,
     LengthInvariantViolation,
+    NonDivisibleLength,
+    ShapeMismatch,
     TruncatedFile,
 )
 import tfilm.model as tmodel
@@ -73,6 +78,18 @@ def test_config_dict_roundtrip():
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_from_dict_ignores_retired_pool_keys():
+    assert not {"pool_extent", "pool_stride"} & {f.name for f in fields(ModelConfig)}
+    assert ModelConfig.from_dict(
+        {**MINI.to_dict(), "pool_extent": 2, "pool_stride": 2}) == MINI
+
+
+@pytest.mark.parametrize("d", [{"depth": 2, "bogus": 1}, [1, 2], "depth"])
+def test_from_dict_rejects_unknown_keys_and_non_mappings(d):
+    with pytest.raises(ConfigInvariantViolation):
+        ModelConfig.from_dict(d)
+
+
 def test_identity_at_init():
     model = build_model(MINI, seed=0)
     x = np.random.default_rng(0).normal(size=(2, 64, 1))
@@ -91,6 +108,58 @@ def test_forward_rejects_wrong_length():
     model = build_model(MINI, seed=0)
     with pytest.raises(LengthInvariantViolation):
         model.forward(Tensor(np.zeros((1, 44, 1))), mode="eval")
+
+
+@pytest.mark.parametrize("cfg", [MINI, SR, replace(MINI, use_tfilm=False)])
+def test_forward_accepts_exactly_the_multiples_of_length_unit(cfg, monkeypatch):
+    model = build_model(cfg, seed=0)
+    unit = cfg.length_unit()
+    assert unit % 2 ** (cfg.depth + 1) == 0
+    for t in (unit, 3 * unit):
+        assert model.forward(Tensor(np.zeros((1, t, 1)))).shape == (1, t, 1)
+    for t in (unit // 2, unit + 2 ** (cfg.depth + 1), 2 * unit + 1):
+        if t % unit:
+            with pytest.raises(LengthInvariantViolation):
+                model.forward(Tensor(np.zeros((1, t, 1))))
+
+
+def test_length_unit_is_tight_for_tfilm():
+    # a multiple of 2^(K+1) that is not one of the unit breaks a TFiLM
+    # layer's blocks once the model's own check is out of the way
+    model = build_model(MINI, seed=0)
+    t = MINI.length_unit() + 2 ** (MINI.depth + 1)
+    model._check_length = lambda t: None
+    with pytest.raises(NonDivisibleLength):
+        model.forward(Tensor(np.zeros((1, t, 1))))
+
+
+def test_infer_on_valid_length_equals_forward():
+    model = _perturbed(MINI, seed=3)
+    x = np.random.default_rng(3).normal(size=(4 * MINI.length_unit(), 1))
+    expected = model.forward(Tensor(x[None]), mode="eval").data[0, :, 0]
+    assert np.array_equal(model.infer(x), expected)
+
+
+def test_infer_zero_pads_on_the_right_and_crops():
+    model = _perturbed(MINI, seed=3)
+    x = np.random.default_rng(4).normal(size=(50, 1))
+    padded = np.concatenate([x, np.zeros((14, 1))])
+    expected = model.forward(Tensor(padded[None]), mode="eval").data[0, :50, 0]
+    assert np.array_equal(model.infer(x), expected)
+
+
+def test_infer_runs_every_length():
+    # the model is the identity at init, on the zero-padded tail too
+    model = build_model(MINI, seed=0)
+    x = np.random.default_rng(5).normal(size=(2 * MINI.length_unit() + 1, 1))
+    for t in range(1, x.shape[0] + 1):
+        assert np.array_equal(model.infer(x[:t]), x[:t, 0])
+
+
+@pytest.mark.parametrize("shape", [(64, 2), (64,), (1, 64, 1)])
+def test_infer_rejects_wrong_shape(shape):
+    with pytest.raises(ShapeMismatch):
+        build_model(MINI, seed=0).infer(np.zeros(shape))
 
 
 def test_build_deterministic():
@@ -247,6 +316,35 @@ def test_v1_checkpoint_loads_bit_equal(tmp_path):
     assert path.read_bytes()[4:6] == b"\x02\x00"
     for a, b in zip(load_checkpoint(path).params(), loaded.params()):
         assert np.array_equal(a.data, b.data)
+
+
+def _rewrite_header(path, header):
+    """Replace the config JSON of the checkpoint at ``path`` by ``header``."""
+    data = path.read_bytes()
+    (n,) = struct.unpack("<I", data[6:10])
+    path.write_bytes(data[:6] + struct.pack("<I", len(header)) + header + data[10 + n:])
+
+
+def test_checkpoint_header_with_retired_pool_keys_loads_bit_equal(tmp_path):
+    # headers written before pool_extent/pool_stride were dropped carry them
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, _perturbed(MINI, seed=6))
+    before = load_checkpoint(path)
+    _rewrite_header(path, json.dumps(
+        {**MINI.to_dict(), "pool_extent": 2, "pool_stride": 2}).encode())
+    loaded = load_checkpoint(path)
+    assert loaded.cfg == MINI
+    for a, b in zip(loaded.params(), before.params()):
+        assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("header", [{**MINI.to_dict(), "bogus": 1}, [2, 64]])
+def test_checkpoint_header_with_bad_config_is_typed_error(tmp_path, header):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(MINI, seed=0))
+    _rewrite_header(path, json.dumps(header).encode())
+    with pytest.raises(ConfigInvariantViolation):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):

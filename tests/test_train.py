@@ -155,6 +155,14 @@ def test_evaluate_identity_model_matches_spline_column():
         assert row["model"]["l2"] == row["spline"]["l2"]
 
 
+def test_evaluate_runs_lengths_the_forward_would_reject():
+    # 300 is no multiple of MINI's length unit (16): infer pads and crops
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(300, 1)), rng.normal(size=(300, 1))
+    report = evaluate(build_model(MINI, seed=0), [(x, y)], metrics=("snr", "l2"))
+    assert report.rows[0]["model"] == report.rows[0]["spline"]
+
+
 def test_evaluate_excludes_infinite_snr():
     x = np.ones((32, 1))
     report = evaluate(None, [(x, x.copy())], metrics=("snr",), lsd_frame=32)
