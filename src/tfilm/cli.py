@@ -46,6 +46,7 @@ EXIT_CHECK = 3
 _USAGE_ERRORS = (ValueError, errors.InvalidRate, errors.InvalidSpec,
                  errors.ConfigInvariantViolation)
 _DATA_ERRORS = (OSError, json.JSONDecodeError, errors.BadMagic,
+                errors.BadCheckpointConfig,
                 errors.TruncatedFile, errors.UnsupportedWavEncoding,
                 errors.EmptyDataset, errors.PatchTooLong, errors.TooShort,
                 errors.LengthMismatch, errors.LengthInvariantViolation,

@@ -96,6 +96,11 @@ class BadMagic(TfilmError):
     pass
 
 
+class BadCheckpointConfig(TfilmError):
+    """The model config stored in a checkpoint does not parse or is not a
+    valid ``ModelConfig``: a corrupt file, not a usage error."""
+
+
 class TruncatedFile(TfilmError):
     pass
 

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import (
+    BadCheckpointConfig,
     BadMagic,
     ConfigInvariantViolation,
     LengthInvariantViolation,
@@ -55,6 +56,9 @@ CHECKPOINT_VERSION = 2
 # config fields that the forward pass never read, dropped from ModelConfig;
 # from_dict ignores them in older headers
 _RETIRED_KEYS = frozenset({"pool_extent", "pool_stride"})
+# the value types from_dict takes for each field type: a float field takes
+# an int too, and bool (an int subclass) fits only a bool field
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -112,6 +116,8 @@ class ModelConfig:
     def validate(self):
         if self.depth < 0:
             raise ConfigInvariantViolation("depth must be >= 0")
+        if self.tfilm_blocks < 1:
+            raise ConfigInvariantViolation("tfilm_blocks must be >= 1")
         div = 2 ** (self.depth + 1)
         if self.patch_length % div != 0:
             raise ConfigInvariantViolation(
@@ -138,15 +144,24 @@ class ModelConfig:
     @staticmethod
     def from_dict(d):
         """The config of a dict of field values; ignores the retired keys
-        (``_RETIRED_KEYS``) and rejects any other unknown key."""
+        (``_RETIRED_KEYS``) and rejects any other unknown key and any value
+        of the wrong type (see ``_FIELD_TYPES``)."""
         if not isinstance(d, dict):
             raise ConfigInvariantViolation(
                 f"model config must be a mapping, got {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(ModelConfig)} - _RETIRED_KEYS
+        kinds = {f.name: f.type for f in fields(ModelConfig)}
+        unknown = set(d) - set(kinds) - _RETIRED_KEYS
         if unknown:
             raise ConfigInvariantViolation(
                 f"unknown model config keys: {', '.join(sorted(unknown))}")
-        return ModelConfig(**{k: v for k, v in d.items() if k not in _RETIRED_KEYS})
+        values = {k: v for k, v in d.items() if k not in _RETIRED_KEYS}
+        for name, value in values.items():
+            kind = kinds[name]
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(
+                    value, _FIELD_TYPES[kind]):
+                raise ConfigInvariantViolation(
+                    f"model config {name} must be {kind}, got {value!r}")
+        return ModelConfig(**values)
 
 
 @dataclass
@@ -400,7 +415,8 @@ def load_checkpoint(path) -> Model:
     """Rebuild the model from a checkpoint of version 1 or 2; verifies
     magic, version and that stored parameter names/shapes agree with the
     stored config. The parameters are allocated without a random init and
-    filled from the records."""
+    filled from the records. A stored config that does not parse or is not
+    a valid ``ModelConfig`` raises ``BadCheckpointConfig``."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
             raise BadMagic("not a TFLM checkpoint")
@@ -408,8 +424,12 @@ def load_checkpoint(path) -> Model:
         if version not in (1, CHECKPOINT_VERSION):
             raise BadMagic(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        cfg = ModelConfig.from_dict(json.loads(_read_exact(fh, cfg_len).decode()))
-        cfg.validate()
+        header = _read_exact(fh, cfg_len)
+        try:
+            cfg = ModelConfig.from_dict(json.loads(header.decode()))
+            cfg.validate()
+        except (ValueError, ConfigInvariantViolation) as exc:
+            raise BadCheckpointConfig(f"checkpoint config: {exc}") from exc
         model = _assemble(cfg, None, seed=0)
         expected = dict(model.named_params())
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4))

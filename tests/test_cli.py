@@ -17,7 +17,9 @@ from tfilm.data import (
     zero_mask,
 )
 from tfilm.dsp import spline_upsample
-from tfilm.model import load_checkpoint
+from tfilm.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+
+from test_model import BAD_HEADERS, _header_bytes, _rewrite_header
 
 
 @pytest.fixture()
@@ -217,3 +219,32 @@ def test_train_unknown_model_key_is_usage_error(tmp_path, spec_file):
     main(["synth", "--spec", str(spec_file), "--out", str(data / "sig.raw")])
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
                  "--set", "model.bogus=1"]) == 1
+
+
+@pytest.mark.parametrize("header", BAD_HEADERS)
+def test_checkpoint_with_bad_config_is_data_error(tmp_path, header, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, build_model(
+        ModelConfig(depth=2, patch_length=64, max_filters=8, tfilm_blocks=4), seed=0))
+    _rewrite_header(ckpt, _header_bytes(header))
+    data = tmp_path / "data"
+    data.mkdir()
+    write_rawf32(data / "sig.raw", SignalAsset(np.sin(0.1 * np.arange(256))))
+    series = tmp_path / "walk.csv"
+    write_csv_signal(series, SignalAsset(np.cumsum(np.ones(128)) * 0.01))
+    for argv in (
+        ["upsample", "--in", str(data / "sig.raw"), "-r", "2", "--out", str(tmp_path / "up.raw")],
+        ["impute", "--in", str(series), "--rate", "0.2", "--out", str(tmp_path / "f.csv")],
+        ["eval", "--data", str(data), "--out", str(tmp_path / "report.csv")],
+    ):
+        assert main(argv + ["--ckpt", str(ckpt)]) == 2
+        assert "data error: checkpoint config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ['"2"', "2.5", "true"])
+def test_train_wrong_model_value_type_is_usage_error(tmp_path, spec_file, value):
+    data = tmp_path / "data"
+    data.mkdir()
+    main(["synth", "--spec", str(spec_file), "--out", str(data / "sig.raw")])
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--set", f"model.depth={value}"]) == 1

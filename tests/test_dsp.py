@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from tfilm import dsp
 from tfilm.dsp import (
     EPS_SPEC,
+    IIR_BLOCK,
     cheby1_design,
     degrade,
     iir_apply,
@@ -45,7 +47,117 @@ A_R4 = [1.0, -6.097112958371417, 16.934600476036056, -27.866038271992032,
         -2.506737807064883, 0.3006872193662449]
 
 
+def _assert_close(got, want, rel):
+    """Max absolute difference within ``rel`` of the reference's max."""
+    assert got.shape == want.shape
+    if want.size:
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+# --- loop oracles: the per-sample code the vectorized kernels replaced ---------
+
+
+def _thomas_solve(off, diag, rhs):
+    """Symmetric tridiagonal solve by the Thomas algorithm, one row at a time."""
+    diag = diag.astype(np.float64)
+    rhs = rhs.astype(np.float64)
+    for i in range(1, diag.size):
+        w = off[i - 1] / diag[i - 1]
+        diag[i] -= w * off[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    sol = np.zeros_like(rhs)
+    sol[-1] = rhs[-1] / diag[-1]
+    for i in range(diag.size - 2, -1, -1):
+        sol[i] = (rhs[i] - off[i] * sol[i + 1]) / diag[i]
+    return sol
+
+
+def _thomas_spline(xs, ys, q):
+    """Natural cubic spline through (xs, ys) at q, with the Thomas solve."""
+    h = np.diff(xs)
+    m = np.zeros(xs.size)
+    if xs.size > 2:
+        rhs = 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1])
+        m[1:-1] = _thomas_solve(h[1:-1], 2.0 * (h[:-1] + h[1:]), rhs)
+    seg = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, xs.size - 2)
+    x0, x1 = xs[seg], xs[seg + 1]
+    a = (x1 - q) / (x1 - x0)
+    b = (q - x0) / (x1 - x0)
+    return (a * ys[seg] + b * ys[seg + 1]
+            + ((a ** 3 - a) * m[seg] + (b ** 3 - b) * m[seg + 1]) * (x1 - x0) ** 2 / 6.0)
+
+
+def _direct_form_loop(b, a, x):
+    """Transposed direct form II, one sample at a time, from zero state."""
+    z = np.zeros(b.size - 1, dtype=x.dtype)
+    y = np.empty_like(x)
+    for i, xn in enumerate(x):
+        yn = b[0] * xn + z[0]
+        z[:-1] = z[1:] + b[1:-1] * xn - a[1:-1] * yn
+        z[-1] = b[-1] * xn - a[-1] * yn
+        y[i] = yn
+    return y
+
+
+def _sections_loop(filt, x, dtype=np.float64):
+    """The per-sample loop over each section of ``filt`` in turn, in
+    ``dtype``. Run on the whole order-8 ``b``/``a`` instead, the loop
+    differs from the cascade by up to 9e-12 relative at r=4: the rounding
+    of the order-8 coefficients alone moves the filter that far."""
+    y = np.asarray(x, dtype=dtype)
+    for row in filt.sos.astype(dtype):
+        y = _direct_form_loop(row[:3], row[3:], y)
+    return y
+
+
 # --- splines ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_solve_tridiagonal_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    h = rng.uniform(0.5, 2.0, size=n + 1)
+    off, diag = h[1:-1], 2.0 * (h[:-1] + h[1:])
+    rhs = rng.normal(size=(n, 3))
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    _assert_close(dsp._solve_tridiagonal(off, diag, rhs),
+                  np.linalg.solve(dense, rhs), 1e-13)
+
+
+def test_solve_tridiagonal_spline_system_at_13k_unknowns():
+    # the spline system of impute-infer's 16384-sample series with 20% of
+    # it masked; a dense solve would need a 1.4 GB matrix, so the banded
+    # residual and the Thomas loop are the references
+    rng = np.random.default_rng(8)
+    xs = np.flatnonzero(rng.random(16384) >= 0.2).astype(np.float64)
+    h = np.diff(xs)
+    off, diag = h[1:-1], 2.0 * (h[:-1] + h[1:])
+    rhs = rng.normal(size=(xs.size - 2, 1))
+    sol = dsp._solve_tridiagonal(off, diag, rhs)
+    assert 12_000 < sol.shape[0] < 14_000
+    residual = diag[:, None] * sol
+    residual[:-1] += off[:, None] * sol[1:]
+    residual[1:] += off[:, None] * sol[:-1]
+    _assert_close(residual, rhs, 1e-14)
+    _assert_close(sol, _thomas_solve(off, diag, rhs), 1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 13_000])
+def test_spline_matches_thomas_oracle(n):
+    rng = np.random.default_rng(n)
+    xs = np.cumsum(rng.uniform(0.2, 3.0, size=n))
+    ys = np.cumsum(rng.normal(size=n))
+    q = np.linspace(xs[0] - 1.0, xs[-1] + 1.0, 3 * n + 7)
+    _assert_close(natural_cubic_spline(xs, ys)(q), _thomas_spline(xs, ys, q), 1e-12)
+
+
+def test_spline_columns_solved_together_match_each_column():
+    x = np.random.default_rng(9).normal(size=(300, 3))
+    up = spline_upsample(x, 3)
+    assert up.shape == (900, 3)
+    for c in range(3):
+        _assert_close(up[:, c], _thomas_spline(np.arange(300.0) * 3, x[:, c],
+                                               np.arange(900.0)), 1e-12)
 
 
 def test_spline_exact_on_linear_data():
@@ -142,6 +254,50 @@ def test_iir_apply_matches_direct_recursion():
     np.testing.assert_allclose(out.ravel(), ref, atol=1e-9)
 
 
+BLOCK_EDGE_LENGTHS = [0, 1, IIR_BLOCK - 1, IIR_BLOCK, IIR_BLOCK + 1, 3 * IIR_BLOCK + 5]
+
+
+@pytest.mark.parametrize("r", [2, 4])
+@pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
+def test_iir_apply_matches_per_sample_loop(r, length):
+    filt = cheby1_design(8, 0.05, 0.8 / r)
+    x = np.random.default_rng(length).normal(size=length)
+    _assert_close(iir_apply(filt, x), _sections_loop(filt, x), 1e-12)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_iir_apply_columns_match_per_sample_loop(r):
+    filt = cheby1_design(8, 0.05, 0.8 / r)
+    x = np.random.default_rng(10).normal(size=(3 * IIR_BLOCK + 5, 3))
+    out = iir_apply(filt, x)
+    assert out.shape == x.shape
+    for c in range(3):
+        _assert_close(out[:, c], _sections_loop(filt, x[:, c]), 1e-12)
+
+
+@pytest.mark.parametrize("r", [8, 16, 32])
+def test_iir_apply_matches_extended_precision_at_low_cutoffs(r):
+    # the poles crowd towards z = 1 as the cutoff falls; the loop in
+    # float64 on the order-8 b/a is 7e-10, 2e-7 and 7e-5 off here
+    filt = cheby1_design(8, 0.05, 0.8 / r)
+    x = np.random.default_rng(r).normal(size=2000)
+    ref = _sections_loop(filt, x, np.longdouble)
+    _assert_close(iir_apply(filt, x), ref.astype(np.float64), 1e-12)
+
+
+def test_sections_form_the_transfer_function():
+    for order in (1, 4, 5, 8):
+        filt = cheby1_design(order, 0.05, 0.3)
+        assert filt.sos.shape == ((order + 1) // 2, 6)
+        assert filt.b.shape == filt.a.shape == (order + 1,)
+        assert filt.a[0] == 1.0 and filt.is_stable()
+        # every zero at z = -1, so b is binomial; DC gain 1, or the ripple
+        # floor for an even order
+        binomial = np.array([math.comb(order, k) for k in range(order + 1)])
+        np.testing.assert_allclose(filt.b / filt.b[0], binomial, rtol=1e-12)
+        assert abs(filt.b.sum() / filt.a.sum() - (1.0 if order % 2 else 10 ** (-0.05 / 20))) < 1e-12
+
+
 # --- degrade ------------------------------------------------------------------
 
 
@@ -166,9 +322,10 @@ def test_degrade_rejects_bad_ratio():
 
 
 def test_degrade_r1_is_near_identity_filter():
-    # r=1 still applies the anti-alias filter but keeps every sample
+    # r=1 applies no filter: degrade returns an equal copy
     x = np.random.default_rng(3).normal(size=64)
-    assert degrade(x, 1).shape[0] == 64
+    out = degrade(x, 1)
+    assert np.array_equal(out, x) and out is not x
 
 
 # --- STFT ---------------------------------------------------------------------

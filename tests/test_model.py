@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tfilm.errors import (
+    BadCheckpointConfig,
     BadMagic,
     ConfigInvariantViolation,
     LengthInvariantViolation,
@@ -88,6 +89,25 @@ def test_from_dict_ignores_retired_pool_keys():
 def test_from_dict_rejects_unknown_keys_and_non_mappings(d):
     with pytest.raises(ConfigInvariantViolation):
         ModelConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("depth", "2"), ("depth", 2.0), ("depth", True), ("patch_length", None),
+    ("dropout_rate", "0.5"), ("dropout_rate", False),
+    ("use_tfilm", 1), ("use_tfilm", "true"),
+])
+def test_from_dict_rejects_wrong_value_types(name, value):
+    with pytest.raises(ConfigInvariantViolation, match=name):
+        ModelConfig.from_dict({**MINI.to_dict(), name: value})
+
+
+def test_from_dict_float_field_takes_int():
+    assert ModelConfig.from_dict({**MINI.to_dict(), "dropout_rate": 0}).dropout_rate == 0
+
+
+def test_validate_rejects_zero_tfilm_blocks():
+    with pytest.raises(ConfigInvariantViolation):
+        replace(MINI, tfilm_blocks=0).validate()
 
 
 def test_identity_at_init():
@@ -338,12 +358,27 @@ def test_checkpoint_header_with_retired_pool_keys_loads_bit_equal(tmp_path):
         assert np.array_equal(a.data, b.data)
 
 
-@pytest.mark.parametrize("header", [{**MINI.to_dict(), "bogus": 1}, [2, 64]])
+# stored configs that must not load: JSON values, then raw header bytes
+BAD_HEADERS = [
+    {**MINI.to_dict(), "bogus": 1},         # unknown key
+    [2, 64],                                # not a mapping
+    {**MINI.to_dict(), "depth": "2"},       # wrong type
+    {**MINI.to_dict(), "patch_length": 60},  # fails validate
+    pytest.param(b'{"depth": 2', id="not-json"),
+    pytest.param(b"\xff\xfe", id="not-utf8"),
+]
+
+
+def _header_bytes(header):
+    return header if isinstance(header, bytes) else json.dumps(header).encode()
+
+
+@pytest.mark.parametrize("header", BAD_HEADERS)
 def test_checkpoint_header_with_bad_config_is_typed_error(tmp_path, header):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, build_model(MINI, seed=0))
-    _rewrite_header(path, json.dumps(header).encode())
-    with pytest.raises(ConfigInvariantViolation):
+    _rewrite_header(path, _header_bytes(header))
+    with pytest.raises(BadCheckpointConfig):
         load_checkpoint(path)
 
 
