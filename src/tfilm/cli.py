@@ -355,12 +355,13 @@ def main(argv=None):
     try:
         _set_threads(args.threads)
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # data first: json.JSONDecodeError is in both, as a ValueError
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except _USAGE_ERRORS as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except errors.TfilmError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return EXIT_CHECK

@@ -164,23 +164,15 @@ def run_super_resolution_comparison(
 
 
 def spline_impute(masked, mask):
-    """Replace masked samples with a natural cubic spline through the
-    observed ones; observed samples pass through untouched."""
-    arr = np.asarray(masked, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
-        mask = np.asarray(mask)[:, None]
-    out = arr.copy()
-    idx = np.arange(arr.shape[0])
-    for c in range(arr.shape[1]):
-        obs = ~mask[:, c]
-        if obs.sum() < 2:
-            continue
-        interp = natural_cubic_spline(idx[obs], arr[obs, c])
-        missing = mask[:, c]
-        out[missing, c] = interp(idx[missing])
-    return out[:, 0] if squeeze else out
+    """Replace the masked samples of a 1-D series with a natural cubic
+    spline through the observed ones; observed samples pass through
+    untouched, and so does a series with fewer than 2 observed."""
+    out = np.array(masked, dtype=np.float64)
+    obs = ~np.asarray(mask)
+    if obs.sum() >= 2:
+        idx = np.arange(out.size)
+        out[~obs] = natural_cubic_spline(idx[obs], out[obs])(idx[~obs])
+    return out
 
 
 @dataclass

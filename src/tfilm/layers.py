@@ -237,6 +237,11 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
 # --- LSTM ---------------------------------------------------------------------
 
 
+# the gate tensors of one LstmParams cell, in parameter and checkpoint order
+_LSTM_TENSOR_NAMES = ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
+                      "b_i", "b_f", "b_o", "b_g")
+
+
 @dataclass
 class LstmParams:
     """Single-direction LSTM cell weights (gate order: input, forget, output, cell).
@@ -258,19 +263,22 @@ class LstmParams:
     b_f: Tensor
     b_o: Tensor
     b_g: Tensor
-    bidirectional: bool = False
     reverse: Optional["LstmParams"] = None
 
-    def cell_tensors(self):
-        return [self.w_i, self.w_f, self.w_o, self.w_g,
-                self.u_i, self.u_f, self.u_o, self.u_g,
-                self.b_i, self.b_f, self.b_o, self.b_g]
+    @property
+    def bidirectional(self):
+        return self.reverse is not None
+
+    def named_tensors(self):
+        """(name, tensor) pairs: the 12 gate tensors, then the reverse
+        cell's under ``rev.``."""
+        out = [(nm, getattr(self, nm)) for nm in _LSTM_TENSOR_NAMES]
+        if self.reverse is not None:
+            out += [(f"rev.{nm}", t) for nm, t in self.reverse.named_tensors()]
+        return out
 
     def tensors(self):
-        out = self.cell_tensors()
-        if self.reverse is not None:
-            out += self.reverse.cell_tensors()
-        return out
+        return [t for _, t in self.named_tensors()]
 
 
 def _init_lstm_cell(input_size, hidden_size, rng):
@@ -299,7 +307,6 @@ def init_lstm_params(input_size, hidden_size, rng, bidirectional=False):
     """Uniform init scaled by 1/sqrt(hidden_size); ``rng=None`` allocates
     the weights without drawing."""
     p = _init_lstm_cell(input_size, hidden_size, rng)
-    p.bidirectional = bidirectional
     if bidirectional:
         p.reverse = _init_lstm_cell(input_size, hidden_size, rng)
     return p

@@ -1,10 +1,10 @@
 """The time-series super-resolution network.
 
-K downsampling blocks (stride-2 dilated conv -> relu -> TFiLM), a
-bottleneck (stride-2 conv -> dropout -> relu -> TFiLM), K upsampling
-blocks (conv -> dropout -> relu -> subpixel x2 -> stacked skip
-connection), and a final stage (zero-initialized conv -> subpixel x2 ->
-additive residual). With the final conv at zero and the residual on, a
+K downsampling blocks (stride-2 conv with dilation 2 -> relu -> TFiLM),
+a bottleneck (stride-2 conv -> dropout -> relu -> TFiLM), K upsampling
+blocks (conv -> relu -> subpixel x2 -> stacked skip connection), and a
+final stage (zero-initialized conv -> subpixel x2 -> additive residual).
+Dropout runs at the bottleneck only. With the final conv at zero, a
 freshly built model is exactly the identity on channel 0 of its input.
 
 Filter counts and kernel lengths follow the downsampling/upsampling
@@ -30,13 +30,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedFile,
 )
-from .layers import (
-    Conv1dParams,
-    conv1d,
-    dropout,
-    init_conv_params,
-    subpixel_shuffle,
-)
+from .layers import Conv1dParams, conv1d, dropout, init_conv_params, subpixel_shuffle
 from .modulation import TfilmLayerParams, init_tfilm_params, tfilm_forward
 from .tensor import Tensor, concat, no_grad
 
@@ -56,6 +50,10 @@ CHECKPOINT_VERSION = 2
 # config fields that the forward pass never read, dropped from ModelConfig;
 # from_dict ignores them in older headers
 _RETIRED_KEYS = frozenset({"pool_extent", "pool_stride"})
+# architecture choices that were fields before the network fixed them; older
+# headers hold them, and from_dict takes each only at its fixed value
+_FIXED_KEYS = {"dilation": 2, "down_dropout": 0.0, "up_dropout": 0.0,
+               "use_skip_stacking": True, "use_residual": True}
 # the value types from_dict takes for each field type: a float field takes
 # an int too, and bool (an int subclass) fits only a bool field
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
@@ -70,13 +68,8 @@ class ModelConfig:
     patch_length: int = 8192
     tfilm_blocks: int = 32        # number of blocks per TFiLM layer (T_l / B_l)
     dropout_rate: float = 0.5     # bottleneck dropout
-    down_dropout: float = 0.0
-    up_dropout: float = 0.0
-    dilation: int = 2
     max_filters: int = 512
     use_tfilm: bool = True
-    use_skip_stacking: bool = True
-    use_residual: bool = True
     bidirectional: bool = False
 
     # -- architecture formulas -------------------------------------------------
@@ -116,8 +109,9 @@ class ModelConfig:
     def validate(self):
         if self.depth < 0:
             raise ConfigInvariantViolation("depth must be >= 0")
-        if self.tfilm_blocks < 1:
-            raise ConfigInvariantViolation("tfilm_blocks must be >= 1")
+        for name in ("input_channels", "tfilm_blocks", "max_filters"):
+            if getattr(self, name) < 1:
+                raise ConfigInvariantViolation(f"{name} must be >= 1")
         div = 2 ** (self.depth + 1)
         if self.patch_length % div != 0:
             raise ConfigInvariantViolation(
@@ -144,12 +138,14 @@ class ModelConfig:
     @staticmethod
     def from_dict(d):
         """The config of a dict of field values; ignores the retired keys
-        (``_RETIRED_KEYS``) and rejects any other unknown key and any value
+        (``_RETIRED_KEYS``), takes the fixed keys (``_FIXED_KEYS``) at their
+        fixed values only, and rejects any other unknown key and any value
         of the wrong type (see ``_FIELD_TYPES``)."""
         if not isinstance(d, dict):
             raise ConfigInvariantViolation(
                 f"model config must be a mapping, got {type(d).__name__}")
         kinds = {f.name: f.type for f in fields(ModelConfig)}
+        kinds.update((k, type(v).__name__) for k, v in _FIXED_KEYS.items())
         unknown = set(d) - set(kinds) - _RETIRED_KEYS
         if unknown:
             raise ConfigInvariantViolation(
@@ -161,7 +157,11 @@ class ModelConfig:
                     value, _FIELD_TYPES[kind]):
                 raise ConfigInvariantViolation(
                     f"model config {name} must be {kind}, got {value!r}")
-        return ModelConfig(**values)
+            if name in _FIXED_KEYS and value != _FIXED_KEYS[name]:
+                raise ConfigInvariantViolation(
+                    f"model config {name} is fixed at {_FIXED_KEYS[name]!r}, "
+                    f"got {value!r}")
+        return ModelConfig(**{k: v for k, v in values.items() if k not in _FIXED_KEYS})
 
 
 @dataclass
@@ -169,8 +169,6 @@ class _Stage:
     name: str
     conv: Conv1dParams
     tfilm: TfilmLayerParams | None = None
-    dropout_rate: float = 0.0
-    dropout_id: int = 0
 
 
 class Model:
@@ -194,13 +192,7 @@ class Model:
             out.append((f"{prefix}.bias", p.bias))
 
         def add_tfilm(prefix, p):
-            names = ["w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-                     "b_i", "b_f", "b_o", "b_g"]
-            for nm in names:
-                out.append((f"{prefix}.lstm.{nm}", getattr(p.lstm, nm)))
-            if p.lstm.reverse is not None:
-                for nm in names:
-                    out.append((f"{prefix}.lstm.rev.{nm}", getattr(p.lstm.reverse, nm)))
+            out.extend((f"{prefix}.lstm.{nm}", t) for nm, t in p.lstm.named_tensors())
             out.append((f"{prefix}.proj_w", p.proj_w))
             out.append((f"{prefix}.proj_b", p.proj_b))
 
@@ -225,12 +217,6 @@ class Model:
             raise LengthInvariantViolation(
                 f"input length {t} is not a multiple of {unit}")
 
-    def _dropout(self, x, stage, mode, dropout_seed, step):
-        if stage.dropout_rate <= 0.0:
-            return x
-        rng = np.random.default_rng((dropout_seed, stage.dropout_id, step))
-        return dropout(x, stage.dropout_rate, rng=rng, mode=mode)
-
     def forward(self, x: Tensor, mode="eval", dropout_seed=0, step=0) -> Tensor:
         """Map (N, T, k) inputs to (N, T, 1) outputs.
 
@@ -251,33 +237,28 @@ class Model:
         skips = []
         h = x
         for stage in self.down:
-            h = conv1d(h, stage.conv)
-            h = self._dropout(h, stage, mode, dropout_seed, step)
-            h = h.relu()
+            h = conv1d(h, stage.conv).relu()
             if stage.tfilm is not None:
                 h = tfilm_forward(h, stage.tfilm)
             skips.append(h)
 
         stage = self.bottleneck
         h = conv1d(h, stage.conv)
-        h = self._dropout(h, stage, mode, dropout_seed, step)
+        rate = self.cfg.dropout_rate
+        if rate > 0.0:
+            # the mask key numbers the bottleneck K + 1, after down1..downK
+            rng = np.random.default_rng((dropout_seed, self.cfg.depth + 1, step))
+            h = dropout(h, rate, rng=rng, mode=mode)
         h = h.relu()
         if stage.tfilm is not None:
             h = tfilm_forward(h, stage.tfilm)
 
-        for u, stage in enumerate(self.up, start=1):
-            h = conv1d(h, stage.conv)
-            h = self._dropout(h, stage, mode, dropout_seed, step)
-            h = h.relu()
-            h = subpixel_shuffle(h, 2)
-            if self.cfg.use_skip_stacking:
-                h = concat([h, skips[self.cfg.depth - u]], axis=2)
+        for stage, skip in zip(self.up, reversed(skips)):
+            h = subpixel_shuffle(conv1d(h, stage.conv).relu(), 2)
+            h = concat([h, skip], axis=2)
 
-        h = conv1d(h, self.final.conv)
-        h = subpixel_shuffle(h, 2)
-        if self.cfg.use_residual:
-            h = h + x[:, :, 0:1]
-        return h
+        h = subpixel_shuffle(conv1d(h, self.final.conv), 2)
+        return h + x[:, :, 0:1]
 
     def infer(self, x) -> np.ndarray:
         """Channel 0 of one eval forward over a whole (T, C) series.
@@ -306,13 +287,6 @@ def _assemble(cfg, rng, seed):
     """The network of a validated ``cfg`` with its initialization drawn from
     ``rng``; ``rng=None`` allocates the drawn tensors without drawing, for
     a loader that overwrites every parameter."""
-    dropout_id = 0
-
-    def next_id():
-        nonlocal dropout_id
-        dropout_id += 1
-        return dropout_id
-
     time_dims = cfg.time_dims()
     channels = cfg.input_channels
     down = []
@@ -320,7 +294,7 @@ def _assemble(cfg, rng, seed):
     for d in range(1, cfg.depth + 1):
         conv = init_conv_params(
             cfg.down_filters(d), channels, cfg.down_kernel(d), rng,
-            stride=2, dilation=cfg.dilation, padding="same",
+            stride=2, dilation=2, padding="same",
         )
         channels = cfg.down_filters(d)
         tf = None
@@ -328,7 +302,7 @@ def _assemble(cfg, rng, seed):
             tf = init_tfilm_params(
                 channels, cfg.tfilm_block_len(time_dims[d - 1]), rng,
                 bidirectional=cfg.bidirectional)
-        down.append(_Stage(f"down{d}", conv, tf, cfg.down_dropout, next_id()))
+        down.append(_Stage(f"down{d}", conv, tf))
         skip_channels.append(channels)
 
     conv = init_conv_params(cfg.bottleneck_filters(), channels, 9, rng,
@@ -339,16 +313,14 @@ def _assemble(cfg, rng, seed):
         tf = init_tfilm_params(
             channels, cfg.tfilm_block_len(time_dims[cfg.depth]), rng,
             bidirectional=cfg.bidirectional)
-    bottleneck = _Stage("bottleneck", conv, tf, cfg.dropout_rate, next_id())
+    bottleneck = _Stage("bottleneck", conv, tf)
 
     up = []
     for u in range(1, cfg.depth + 1):
         conv = init_conv_params(cfg.up_filters(u), channels, cfg.up_kernel(u), rng,
                                 stride=1, padding="same")
-        channels = cfg.up_filters(u) // 2
-        if cfg.use_skip_stacking:
-            channels += skip_channels[cfg.depth - u]
-        up.append(_Stage(f"up{u}", conv, None, cfg.up_dropout, next_id()))
+        channels = cfg.up_filters(u) // 2 + skip_channels[cfg.depth - u]
+        up.append(_Stage(f"up{u}", conv))
 
     final_conv = init_conv_params(2, channels, 9, rng, stride=1, padding="same",
                                   zero=True)

@@ -221,6 +221,26 @@ def test_train_unknown_model_key_is_usage_error(tmp_path, spec_file):
                  "--set", "model.bogus=1"]) == 1
 
 
+def test_train_fixed_model_key_off_its_value_is_usage_error(tmp_path, spec_file):
+    data = tmp_path / "data"
+    data.mkdir()
+    main(["synth", "--spec", str(spec_file), "--out", str(data / "sig.raw")])
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--set", "model.use_residual=false"]) == 1
+
+
+def test_truncated_json_file_is_data_error(tmp_path, spec_file, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": ')
+    assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "s.raw")]) == 2
+    data = tmp_path / "data"
+    data.mkdir()
+    main(["synth", "--spec", str(spec_file), "--out", str(data / "sig.raw")])
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--config", str(bad)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("header", BAD_HEADERS)
 def test_checkpoint_with_bad_config_is_data_error(tmp_path, header, capsys):
     ckpt = tmp_path / "m.ckpt"

@@ -262,9 +262,8 @@ def test_bidirectional_scan_concatenates_reverse():
     out = lstm_scan(Tensor(xs), p)
     assert out.shape == (1, 4, 6)
     # reverse half equals a forward scan over the time-flipped input, flipped back
-    import dataclasses
-    rev_only = dataclasses.replace(p.reverse, bidirectional=False, reverse=None)
-    rev_ref = lstm_scan(Tensor(xs[:, ::-1, :].copy()), rev_only)
+    assert p.bidirectional and not p.reverse.bidirectional
+    rev_ref = lstm_scan(Tensor(xs[:, ::-1, :].copy()), p.reverse)
     np.testing.assert_allclose(out.data[:, :, 3:], rev_ref.data[:, ::-1, :],
                                atol=1e-12)
 

@@ -79,10 +79,17 @@ def test_config_dict_roundtrip():
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+# keys that older headers hold: the retired pool fields, then the
+# architecture choices the network now fixes, at their fixed values
+OLD_HEADER_KEYS = {"pool_extent": 2, "pool_stride": 2, "dilation": 2,
+                   "down_dropout": 0.0, "up_dropout": 0, "use_skip_stacking": True,
+                   "use_residual": True}
+
+
 def test_from_dict_ignores_retired_pool_keys():
-    assert not {"pool_extent", "pool_stride"} & {f.name for f in fields(ModelConfig)}
-    assert ModelConfig.from_dict(
-        {**MINI.to_dict(), "pool_extent": 2, "pool_stride": 2}) == MINI
+    assert len(fields(ModelConfig)) == 8
+    assert not set(OLD_HEADER_KEYS) & {f.name for f in fields(ModelConfig)}
+    assert ModelConfig.from_dict({**MINI.to_dict(), **OLD_HEADER_KEYS}) == MINI
 
 
 @pytest.mark.parametrize("d", [{"depth": 2, "bogus": 1}, [1, 2], "depth"])
@@ -346,12 +353,11 @@ def _rewrite_header(path, header):
 
 
 def test_checkpoint_header_with_retired_pool_keys_loads_bit_equal(tmp_path):
-    # headers written before pool_extent/pool_stride were dropped carry them
+    # older headers carry the retired pool keys and the fixed architecture keys
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, _perturbed(MINI, seed=6))
     before = load_checkpoint(path)
-    _rewrite_header(path, json.dumps(
-        {**MINI.to_dict(), "pool_extent": 2, "pool_stride": 2}).encode())
+    _rewrite_header(path, json.dumps({**MINI.to_dict(), **OLD_HEADER_KEYS}).encode())
     loaded = load_checkpoint(path)
     assert loaded.cfg == MINI
     for a, b in zip(loaded.params(), before.params()):
@@ -364,6 +370,11 @@ BAD_HEADERS = [
     [2, 64],                                # not a mapping
     {**MINI.to_dict(), "depth": "2"},       # wrong type
     {**MINI.to_dict(), "patch_length": 60},  # fails validate
+    {**MINI.to_dict(), "max_filters": 0},   # sizes below 1
+    {**MINI.to_dict(), "input_channels": 0},
+    {**MINI.to_dict(), "max_filters": -2},
+    {**MINI.to_dict(), "dilation": 0},      # fixed keys off their values
+    {**MINI.to_dict(), "use_residual": False},
     pytest.param(b'{"depth": 2', id="not-json"),
     pytest.param(b"\xff\xfe", id="not-utf8"),
 ]
