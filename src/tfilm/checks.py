@@ -49,11 +49,19 @@ def _layer_checks(results, tol, h):
     _check("conv1d.stride2.dilation2", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h)
 
-    # long enough that the 5 taps run as GEMM blocks of 3 and 2 taps; the
-    # input is spot-checked on a seeded subset of coordinates
+    # long enough for tiles of 4 outputs: the stride-2, dilation-2 conv
+    # keeps every other padded sample and spans 2 band blocks; the input is
+    # spot-checked on a seeded subset of coordinates
     x = Tensor(rng.normal(size=(2, 256, 24)), requires_grad=True, name="x")
     p = init_conv_params(2, 24, 5, rng, stride=2, dilation=2, padding="same")
     _check("conv1d.taps", lambda ps: _sq(conv1d(ps[0], p)),
+           [x, p.weight, p.bias], results, tol, h, max_coords=60)
+
+    # the bottleneck's stride 2 at dilation 1, read through 16-sample rows:
+    # 257 outputs in tiles of 8, the last one ragged
+    x = Tensor(rng.normal(size=(2, 514, 2)), requires_grad=True, name="x")
+    p = init_conv_params(4, 2, 9, rng, stride=2, dilation=1, padding="same")
+    _check("conv1d.tiles", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h, max_coords=60)
 
     lstm = init_lstm_params(3, 4, rng)

@@ -7,12 +7,14 @@ cross-correlation convention (no kernel flip). Same-padding pads
 with k_eff = (k - 1) * dilation + 1, which keeps output lengths at
 ceil(T / stride).
 
-Convolution is a sum of GEMMs over blocks of consecutive taps, read as
-strided views of the padded input (the multi-GEMM form of Lavin & Gray
-2016): no im2col buffer over all k taps is built, and the backward
-keeps only the padded input and the weights. Conv weights are stored
-tap-major (see :class:`Conv1dParams`), so each block's weights are a
-view.
+Convolution runs over tiles of L consecutive outputs. Each tile is a
+sum of a few GEMMs between zero-copy rows of the padded input and
+blocks of the banded (block-Toeplitz) weight matrix, with the N items
+of a batch in one row space (see :func:`conv1d`). Wide inputs take
+L = 1, where the blocks are the taps themselves (the multi-GEMM form of
+Lavin & Gray 2016). No im2col buffer is built, and the backward keeps
+only the padded input. Conv weights are stored tap-major (see
+:class:`Conv1dParams`), so each tap's weights are a view.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ class Conv1dParams:
 
     The weight is the one exception to row-major tensor data: it is
     stored tap-major (Fortran order), so ``weight.data.T`` is a
-    C-contiguous (kernel_len, in_channels, out_channels) array whose tap
-    blocks are the (g*in_channels, out_channels) matrices conv1d's GEMMs
-    read, and its gradient has the same layout. Only the memory order
+    C-contiguous (kernel_len, in_channels, out_channels) array whose taps
+    are the (in_channels, out_channels) matrices that conv1d's GEMMs read
+    at L = 1 and that its Toeplitz blocks are built from, and its
+    gradient has the same layout. Only the memory order
     differs; shape, indexing and values are those of the row-major
     array. A weight rebound to a row-major array still works: conv1d
     copies it tap-major once per call.
@@ -120,38 +123,71 @@ def init_conv_params(out_channels, in_channels, kernel_len, rng,
     )
 
 
-# A block joins the fewest consecutive taps whose columns number at least
-# _BLOCK_COLUMNS and hold at least _BLOCK_ELEMS values (N * T' * g * C_in).
-# Measured on 2 cores with OpenBLAS 0.3.31, per forward (+ backward):
-# - columns: the six conv layers of the SR model (N=16, T up to 2048) took
-#   28-29 ms with 16, which gives one tap per GEMM from C_in = 16 up, and
-#   41-46 ms with 32 or 64 (2- to 4-tap blocks): once C_in fills a GEMM's
-#   inner dimension, joining taps only adds a copy. At C_in = 1 (k=65) one
-#   tap per GEMM took 20 ms, 16-tap blocks 2 ms.
-# - values: on short inputs a GEMM's call overhead outweighs its work; the
-#   six conv layers of the imputation model (N=1, T up to 512) took 630-660
-#   us with the column rule alone and 435 us with 16384, which leaves every
-#   layer of the SR and paper-scale models at the column rule.
-_BLOCK_COLUMNS = 16
-_BLOCK_ELEMS = 16384
+# Outputs per tile: the largest power of two L with L*s*C_in (the GEMM's
+# inner dimension) at most _TILE_COLUMNS, L at most _TILE_MAX, and at
+# least _TILE_ROWS GEMM rows (N*T'/L) left. So L = 1 from C_in = 65 on
+# (33 at stride 2 and odd dilation), which is every layer of the
+# paper-scale model after down1. Measured on 2 cores with OpenBLAS
+# 0.3.31, forward + backward per layer of the SR model (N=16, patch 2048),
+# in ms, with the L these constants give in brackets:
+# - C_in 1, k 65, T' 1024: 15.0 at L=2, 5.1 at 8, 3.6 at 32, 4.0 at 64,
+#   7.2 at 128 (32): past 32 the band's zeros cost more than the wider
+#   GEMM saves. The paper-scale first layer (N=1, T' 4096, forward only)
+#   took 72.3 at L=1, 3.5 at 16, 2.6 at 32, 3.2 at 64 and 8.8 at 128.
+# - C_in 16, k 33: 10.2 / 6.9 / 6.1 / 6.6 / 7.9 at L = 2 / 4 / 8 / 16 / 32
+#   (8); stride 2 at dilation 1, k 9: 1.9 / 1.7 / 2.3 at L = 2 / 4 / 8 (4).
+# - C_in 24, k 65: 25.3 / 19.0 / 16.0 / 15.0 at L = 2 / 4 / 8 / 16 (4).
+# - L that are not powers of two ran slower than both neighbours
+#   (C_in 16: 7.5 at L=10, 6.7 at 12).
+# The whole SR training step (forward + backward, median of 15) took
+# 69 ms with these constants, 67 ms with 192 columns (L = 8 at C_in 24,
+# but L = 2 from C_in 65 to 96), 71 ms with 256 columns or with L up to
+# 64, and 79 ms with 64 columns. On short inputs a GEMM's call overhead
+# dominates: the imputation model's layers (N=1, T' 64-512, forward)
+# ran fastest with 32-128 rows per GEMM.
+_TILE_COLUMNS = 128
+_TILE_MAX = 32
+_TILE_ROWS = 64
+
+
+def _tile_len(cols, rows):
+    """Outputs per tile for ``cols`` = s*C_in buffer columns per output and
+    ``rows`` = N*T' outputs."""
+    tile = 1
+    while (2 * tile * cols <= _TILE_COLUMNS and 2 * tile <= _TILE_MAX
+           and rows >= 2 * tile * _TILE_ROWS):
+        tile *= 2
+    return tile
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     """Batched 1D cross-correlation with stride/dilation and same|valid padding.
 
-    out = bias + sum over blocks of cols_blk @ W_blk. A block is g
-    consecutive taps: its columns are the strided views
-    ``xpad[:, j*d : j*d+span : stride, :]`` of its taps, joined along
-    channels only when g > 1, and W_blk is its (g*C_in, C_out) slice of
-    the weights, a view when the weight is tap-major. g is the fewest
-    taps whose columns number at least 16 and hold at least 16384 values
-    (``_BLOCK_COLUMNS``, ``_BLOCK_ELEMS``), at most k: in the SR and
-    paper-scale models, 16-tap blocks at C_in = 1 and one tap per GEMM
-    from C_in = 16 up; on short inputs, up to all k taps, which is
-    im2col. The backward closure keeps only the padded input and the
-    weights: it rebuilds each block's columns for dW_blk = cols^T g, and
-    adds g W_blk^T into the gradient of the padded input at the taps'
-    shifted strided slices. The weight gradient is tap-major.
+    The output is cut into tiles of L consecutive outputs. The padded
+    input is one (N, T_b, C) buffer, and its rows of L*s consecutive
+    samples form a zero-copy (rows, L*s*C) matrix X, the N items one
+    after the other in one row space. Output tile i is the sum over m of
+    X[i + m] @ T_m, where T_m is the (L*s*C, L*C_out) block m of the
+    banded Toeplitz matrix of the weights; there are
+    M = ceil(((L-1)*s + k_eff) / (L*s)) of them, so a layer takes M
+    two-dimensional GEMMs over all items instead of k thin ones. The zero
+    padding at the end of each item keeps the items apart: the tiles that
+    straddle two items are computed and dropped.
+
+    L follows C_in and N * T' (see ``_tile_len``): the largest power of
+    two up to 32 with L*s*C_in at most 128 columns that leaves at least
+    64 GEMM rows. From C_in = 65 on L = 1, where the blocks are the k
+    taps themselves: one GEMM per tap, reading a view of the tap-major
+    weight and strided rows of the buffer, with no weight copy.
+
+    When d % s == 0 (the stride-2, dilation-2 down convs) every tap reads
+    only every s-th padded sample, so the buffer keeps only those and the
+    conv runs at stride 1 and dilation d/s.
+
+    The backward closure keeps the buffer and rebuilds the blocks. The
+    input gradient is G @ T_m^T, overlap-added at each tile shift;
+    dT_m = X[. + m]^T G, and the weight gradient sums the diagonals of
+    the band that the dT_m form. It is tap-major, like the weight.
     """
     if x.ndim != 3:
         raise ShapeMismatch("conv1d", x.shape, ("N", "T", "C"))
@@ -168,68 +204,97 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
             raise KernelLargerThanInput(
                 f"effective kernel {k_eff} exceeds input length {t}"
             )
-        pad_l = pad_r = 0
+        pad_l = 0
         t_out = (t - k_eff) // stride + 1
     elif p.padding == "same":
         t_out = -(-t // stride)
         total = max(0, (t_out - 1) * stride + k_eff - t)
         pad_l = min((k_eff - 1) // 2, total)
-        pad_r = total - pad_l
     else:
         raise ValueError(f"unknown padding mode {p.padding!r}")
 
-    xpad = np.pad(x.data, ((0, 0), (pad_l, pad_r), (0, 0)))
     cout = p.out_channels
-    dilation = p.dilation
-    span = (t_out - 1) * stride + 1
-    g = min(k, max(-(-_BLOCK_COLUMNS // c),
-                   -(-_BLOCK_ELEMS // max(1, n * t_out * c))))
-    blocks = [(j0, min(j0 + g, k)) for j0 in range(0, k, g)]
+    # keep every sub-th padded sample; s and d are then the buffer's
+    sub = stride if p.dilation % stride == 0 else 1
+    s, d = stride // sub, p.dilation // sub
+    tile = _tile_len(s * c, n * t_out)
+    step = tile * s                     # buffer samples per tile
+    if tile == 1:                       # a block per tap
+        width = 1
+        offsets = range(0, k * d, d)
+    else:
+        width = step
+        offsets = range(0, (tile - 1) * s + (k - 1) * d + 1, width)
+    n_tiles = -(-t_out // tile)
+    first = -(-pad_l // sub)            # buffer index of the first kept sample
+    x0 = first * sub - pad_l            # and its index in x
+    kept = len(range(x0, t, sub))
+    # tiles per item: its n_tiles, then the ones that straddle into the next
+    per_item = max(n_tiles - 1 + -(-(offsets[-1] + width) // step),
+                   -(-(first + kept) // step))
+    rows = max(0, (n - 1) * per_item + n_tiles)
+    buf = np.zeros((n, per_item * step, c))
+    buf[:, first:first + kept] = x.data[:, x0::sub]
 
-    # (N, T', k, C), a read-only view of xpad: taps[:, :, j] is
-    # xpad[:, j*d : j*d+span : stride], the columns of tap j
-    sn, st, sc = xpad.strides
-    taps = as_strided(xpad, (n, t_out, k, c), (sn, stride * st, dilation * st, sc),
-                      writeable=False)
-
-    def block_cols(j0, j1):
-        # (N, T', (j1-j0)*C): a view for one tap, a copy joining several
-        return taps[:, :, j0:j1].reshape(n, t_out, (j1 - j0) * c)
+    def windows(a):
+        # (offsets[-1] + 1, rows, width*C) view of a buffer-shaped array:
+        # [o, i] holds the width samples from i*step + o on
+        isz = a.itemsize
+        return as_strided(a, (offsets[-1] + 1, rows, width * c),
+                          (c * isz, step * c * isz, isz))
 
     w, b = p.weight, p.bias
     # (k, C, C_out): a view of a tap-major weight, one copy of a row-major one
     wt = np.ascontiguousarray(w.data.T)
 
-    def block_weights(j0, j1):
-        # ((j1-j0)*C, C_out), rows in the order of the block's columns
-        return wt[j0:j1].reshape((j1 - j0) * c, cout)
+    def diagonals(band):
+        # (k, L, C, C_out) view of a (M*width, C, L, C_out) band: [j, l] is
+        # where output l of a tile meets tap j, at sample l*s + j*d
+        bp, bc, bl, bo = band.strides
+        return as_strided(band, (k, tile, c, cout), (d * bp, s * bp + bl, bc, bo))
 
-    out = np.empty((n, t_out, cout))
-    out[...] = b.data
-    for j0, j1 in blocks:
-        out += block_cols(j0, j1) @ block_weights(j0, j1)
+    def blocks():
+        # (M, width*C, L*C_out): the taps when L = 1, else the banded
+        # Toeplitz blocks, rebuilt by the backward rather than kept
+        if tile == 1:
+            return wt
+        band = np.zeros((len(offsets) * width, c, tile, cout))
+        diagonals(band)[...] = wt[:, None]
+        return band.reshape(len(offsets), width * c, tile * cout)
+
+    xw = windows(buf)
+    blks = blocks()
+    y = np.empty((n * per_item, tile * cout))
+    head = y[:rows]
+    np.matmul(xw[0], blks[0], out=head)
+    for o, blk in zip(offsets[1:], blks[1:]):
+        head += xw[o] @ blk
+    out = y.reshape(n, per_item * tile, cout)[:, :t_out] + b.data
 
     def backward(g_out):
-        g2 = g_out.reshape(n * t_out, cout)
         if b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
-        dw_taps = np.empty((k, c, cout)) if w.requires_grad else None
-        dxpad = np.zeros_like(xpad) if x.requires_grad else None
-        for j0, j1 in blocks:
-            if dw_taps is not None:
-                # one GEMM per batch item over T', summed: a single GEMM over
-                # N*T' rows with only g*C x C_out outputs runs far slower
-                cols = block_cols(j0, j1)
-                dw = np.matmul(cols.transpose(0, 2, 1), g_out).sum(axis=0)
-                dw_taps[j0:j1] = dw.reshape(j1 - j0, c, cout)
-            if dxpad is not None:
-                dcols = (g2 @ block_weights(j0, j1).T).reshape(n, t_out, j1 - j0, c)
-                for i, j in enumerate(range(j0, j1)):
-                    dxpad[:, j * dilation: j * dilation + span: stride] += dcols[:, :, i]
-        if dw_taps is not None:
-            w.accumulate_grad(dw_taps.T)    # tap-major, like the weight
-        if dxpad is not None:
-            x.accumulate_grad(dxpad[:, pad_l: xpad.shape[1] - pad_r or None, :])
+            b.accumulate_grad(g_out.sum(axis=(0, 1)))
+        dy = np.zeros((n, per_item * tile, cout))
+        dy[:, :t_out] = g_out
+        dy = dy.reshape(n * per_item, tile * cout)[:rows]
+        blks = blocks()
+        if w.requires_grad:
+            dw = np.empty(blks.shape)
+            for o, dblk in zip(offsets, dw):
+                np.matmul(xw[o].T, dy, out=dblk)
+            if tile > 1:    # tap j sums its L diagonal entries
+                dw = diagonals(dw.reshape(len(offsets) * width, c, tile, cout)).sum(axis=1)
+            w.accumulate_grad(dw.T)         # tap-major, like the weight
+        if x.requires_grad:
+            dbuf = np.zeros_like(buf)
+            dxw = windows(dbuf)
+            for o, blk in zip(offsets, blks):
+                dxw[o] += dy @ blk.T
+            dx = dbuf[:, first:first + kept]
+            if sub > 1:     # spread the kept samples back over x
+                dx, kept_dx = np.zeros(x.shape), dx
+                dx[:, x0::sub] = kept_dx
+            x.accumulate_grad(dx)
 
     return Tensor._from_op(out, (x, w, b), backward)
 

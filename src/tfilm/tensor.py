@@ -354,10 +354,10 @@ class Tensor:
         data = np.max(self.data, axis=axis)
 
         def backward(g, s=self, axis=axis, arg=arg):
+            # one argmax per reduced slot, so assigning equals adding
+            ax = axis % s.ndim
             full = np.zeros_like(s.data)
-            idx = list(np.indices(arg.shape))
-            idx.insert(axis if axis >= 0 else s.ndim + axis, arg)
-            np.add.at(full, tuple(idx), g)
+            np.put_along_axis(full, np.expand_dims(arg, ax), np.expand_dims(g, ax), ax)
             s.accumulate_grad(full)
 
         return Tensor._from_op(data, (self,), backward)

@@ -11,6 +11,7 @@ from tfilm.errors import (
     KernelLargerThanInput,
 )
 from tfilm.layers import (
+    _tile_len,
     conv1d,
     dropout,
     init_conv_params,
@@ -67,24 +68,41 @@ def _naive_conv_grads(x, w, stride, dilation, padding, g):
     return dxp[:, left:left + t], dw, g.sum(axis=(0, 1))
 
 
-@pytest.mark.parametrize("stride,dilation,padding,cin,k,t", [
-    pytest.param(1, 1, "valid", 3, 5, 12, id="1-1-valid"),
-    pytest.param(2, 1, "valid", 3, 5, 12, id="2-1-valid"),
-    pytest.param(1, 2, "valid", 3, 5, 12, id="1-2-valid"),
-    pytest.param(1, 1, "same", 3, 5, 12, id="1-1-same"),
-    pytest.param(2, 2, "same", 3, 5, 12, id="2-2-same"),
-    # GEMM blocks: one spanning the kernel, 3 + 2 taps, one tap per GEMM
-    pytest.param(2, 2, "same", 1, 9, 12, id="2-2-same-cin1-k9"),
-    pytest.param(2, 2, "same", 24, 5, 256, id="2-2-same-cin24-k5"),
-    pytest.param(1, 1, "same", 64, 3, 128, id="1-1-same-cin64-k3"),
+@pytest.mark.parametrize("stride,dilation,padding,cin,k,t,tile", [
+    pytest.param(1, 1, "valid", 3, 5, 12, 1, id="1-1-valid"),
+    pytest.param(2, 1, "valid", 3, 5, 12, 1, id="2-1-valid"),
+    pytest.param(1, 2, "valid", 3, 5, 12, 1, id="1-2-valid"),
+    pytest.param(1, 1, "same", 3, 5, 12, 1, id="1-1-same"),
+    pytest.param(2, 2, "same", 3, 5, 12, 1, id="2-2-same"),
+    pytest.param(2, 2, "same", 1, 9, 12, 1, id="2-2-same-cin1-k9"),
+    pytest.param(2, 2, "same", 24, 5, 256, 4, id="2-2-same-cin24-k5"),
+    pytest.param(1, 1, "same", 64, 3, 128, 2, id="1-1-same-cin64-k3"),
+    # tiles of L outputs with a ragged last tile (T' % L != 0); the kernel
+    # spans M = ceil(((L-1)*s + k_eff) / (L*s)) tiles, 2 to 17 here
+    pytest.param(1, 1, "same", 1, 33, 300, 8, id="tiles-cin1-k33"),
+    pytest.param(1, 1, "same", 1, 65, 300, 8, id="tiles-cin1-k65"),
+    pytest.param(2, 2, "same", 2, 33, 600, 8, id="tiles-cin2-k33-down"),
+    pytest.param(2, 2, "same", 2, 65, 600, 8, id="tiles-cin2-k65-down"),
+    pytest.param(1, 1, "same", 24, 33, 202, 4, id="tiles-cin24-k33"),
+    pytest.param(1, 1, "same", 24, 65, 202, 4, id="tiles-cin24-k65"),
+    pytest.param(1, 1, "same", 2, 9, 71, 2, id="tiles-k9-spans-5"),
+    # the bottleneck: stride 2 at dilation 1, read through L*s-sample rows
+    pytest.param(2, 1, "same", 16, 9, 522, 4, id="tiles-2-1-bottleneck"),
+    pytest.param(1, 2, "valid", 2, 9, 150, 4, id="tiles-1-2-valid"),
 ])
-def test_conv1d_matches_naive(stride, dilation, padding, cin, k, t):
+def test_conv1d_matches_naive(stride, dilation, padding, cin, k, t, tile, request):
     rng = RNG()
     x = Tensor(rng.normal(size=(2, t, cin)), requires_grad=True)
     p = init_conv_params(4, cin, k, rng, stride=stride, dilation=dilation,
                          padding=padding)
     p.bias.data = rng.normal(size=4)
     out = conv1d(x, p)
+    # the case runs the tile length it names, and a tiles- case a ragged
+    # last tile
+    buffer_stride = 1 if dilation % stride == 0 else stride
+    assert _tile_len(buffer_stride * cin, 2 * out.shape[1]) == tile
+    if request.node.callspec.id.startswith("tiles-"):
+        assert out.shape[1] % tile
     ref = _naive_conv(x.data, p.weight.data, p.bias.data, stride, dilation, padding)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -110,6 +128,76 @@ def test_conv1d_keeps_no_column_buffer():
     finally:
         tracemalloc.stop()
     assert held <= 3 * (x.data.nbytes + out.data.nbytes)
+
+
+def test_conv1d_batch_items_do_not_mix():
+    # the items share one row space of tiles: a batch of 3 equals 3 calls
+    # of 1, for the values and all three gradients
+    rng = RNG()
+    p = init_conv_params(4, 2, 33, rng, stride=2, dilation=2)
+    p.bias.data = rng.normal(size=4)
+    xs = rng.normal(size=(3, 600, 2)) * np.array([1.0, 1e3, 1.0])[:, None, None]
+    g = rng.normal(size=(3, 300, 4))
+
+    def run(x_data, g_out):
+        x = Tensor(x_data, requires_grad=True)
+        p.weight.grad = p.bias.grad = None
+        out = conv1d(x, p)
+        (out * Tensor(g_out)).sum().backward()
+        return out.data, x.grad, p.weight.grad, p.bias.grad
+
+    batch = run(xs, g)
+    single = [run(xs[i:i + 1], g[i:i + 1]) for i in range(3)]
+    for i in range(3):
+        for a, b in zip(batch[:2], single[i][:2]):
+            np.testing.assert_allclose(a[i:i + 1], b, rtol=1e-12, atol=1e-12)
+    for j in (2, 3):
+        np.testing.assert_allclose(batch[j], sum(s[j] for s in single),
+                                   rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,t", [(300, 3), (2, 0)], ids=["shorter-than-a-tile", "empty"])
+def test_conv1d_output_shorter_than_a_tile(n, t):
+    rng = RNG()
+    x = Tensor(rng.normal(size=(n, t, 1)), requires_grad=True)
+    p = init_conv_params(4, 1, 9, rng)
+    p.bias.data = rng.normal(size=4)
+    out = conv1d(x, p)
+    assert out.shape == (n, t, 4)
+    if t:
+        assert _tile_len(1, n * t) > t
+    np.testing.assert_allclose(out.data, _naive_conv(x.data, p.weight.data, p.bias.data,
+                                                     1, 1, "same"), atol=1e-12)
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    dx, dw, db = _naive_conv_grads(x.data, p.weight.data, 1, 1, "same", g)
+    np.testing.assert_allclose(x.grad, dx, atol=1e-12)
+    np.testing.assert_allclose(p.weight.grad, dw, atol=1e-12)
+    np.testing.assert_allclose(p.bias.grad, db, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 1)])
+def test_conv1d_wide_input_holds_no_weight_copy(stride, dilation):
+    # at C_in >= 65 a tile is one output: the GEMMs read the tap-major
+    # weight itself, and the backward holds only the padded input
+    rng = RNG()
+    p = init_conv_params(256, 256, 9, rng, stride=stride, dilation=dilation)
+    x = Tensor(rng.normal(size=(2, 256, 256)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = conv1d(x, p)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # padded by k_eff - 1 samples, plus up to one to a whole stride
+    padded = x.data.nbytes * (256 + p.effective_kernel) // 256
+    slack = 16384
+    assert held <= padded + out.data.nbytes + slack
+    # at the peak the GEMM result, one GEMM product and the output are
+    # alive; a weight copy, even a passing one, exceeds the bound
+    assert peak <= padded + 3 * out.data.nbytes + slack
+    assert 2 * out.data.nbytes + slack < p.weight.data.nbytes
 
 
 def test_conv1d_same_stride1_preserves_length():

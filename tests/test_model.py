@@ -183,6 +183,18 @@ def test_infer_runs_every_length():
         assert np.array_equal(model.infer(x[:t]), x[:t, 0])
 
 
+def test_infer_on_empty_and_short_series():
+    # 0 samples run a forward over a (1, 0, C) batch, whose convs have no
+    # output rows; 5 samples are zero-padded to one length unit
+    model = _perturbed(MINI, seed=3)
+    assert model.infer(np.zeros((0, 1))).shape == (0,)
+    x = np.random.default_rng(6).normal(size=(5, 1))
+    out = model.infer(x)
+    assert out.shape == (5,) and np.all(np.isfinite(out))
+    padded = np.concatenate([x, np.zeros((MINI.length_unit() - 5, 1))])
+    assert np.array_equal(out, model.forward(Tensor(padded[None]), mode="eval").data[0, :5, 0])
+
+
 @pytest.mark.parametrize("shape", [(64, 2), (64,), (1, 64, 1)])
 def test_infer_rejects_wrong_shape(shape):
     with pytest.raises(ShapeMismatch):

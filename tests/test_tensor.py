@@ -114,6 +114,22 @@ def test_max_first_argmax_tie():
     np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0]])
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_max_backward_bit_equal_to_scatter_add(axis):
+    # the scatter-add formula the assignment replaced, on data with ties
+    rng = np.random.default_rng(11)
+    data = rng.integers(0, 3, size=(3, 4, 5)).astype(np.float64)
+    g = rng.normal(size=np.delete(data.shape, axis % 3))
+    x = Tensor(data, requires_grad=True)
+    (x.max(axis=axis) * Tensor(g)).sum().backward()
+    arg = np.argmax(data, axis=axis)
+    idx = list(np.indices(arg.shape))
+    idx.insert(axis % 3, arg)
+    ref = np.zeros_like(data)
+    np.add.at(ref, tuple(idx), g)
+    assert x.grad.tobytes() == ref.tobytes()
+
+
 def test_relu_subgradient_zero_at_kink():
     x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
     x.relu().sum().backward()
