@@ -7,6 +7,13 @@ sequence, projects each hidden state to a per-block affine pair
 
 The projection is zero-initialized with gamma = 1 + projection, so a
 freshly built layer is exactly the identity map.
+
+On the tape the layer is three ops: the block max-pool, which takes each
+block's argmax once; the LSTM scan (see :func:`tfilm.layers.lstm_scan`);
+and the modulation, which projects the hidden states and applies the
+affine map with per-block gamma and beta broadcast in place, never
+materialized at the size of F. Its backward writes the one full-size
+gradient F gets, and the pool's backward adds into it at the argmax.
 """
 
 from __future__ import annotations
@@ -64,19 +71,66 @@ def init_tfilm_params(channels, block_len, rng, bidirectional=False):
     )
 
 
-def _normalizers(blocks: Tensor, p: TfilmLayerParams):
-    """Per-block (gamma, beta), each (N, num_blocks, C), from pooled blocks."""
-    n, num_blocks, _, c = blocks.shape
-    pooled = blocks.max(axis=2)                       # (N, nB, C)
-    hidden = lstm_scan(pooled, p.lstm)                # (N, nB, H or 2H)
-    h_out = hidden.shape[2]
-    flat = hidden.reshape(n * num_blocks, h_out)
-    proj = flat @ p.proj_w.transpose((1, 0))
-    proj = proj + p.proj_b.reshape(1, -1).broadcast_to(proj.shape)
-    proj = proj.reshape(n, num_blocks, 2 * c)
+def _block_max(f: Tensor, block_len: int) -> Tensor:
+    """Max of each block of (N, T, C) activations, (N, T / B, C).
+
+    The argmax is taken once; ties pick the earliest index. The backward
+    adds the pooled gradient into ``f.grad`` at the argmax, in place. The
+    pooled values reach the output only through :func:`_modulate`, whose
+    backward runs first and leaves an array of this sweep in ``f.grad``,
+    so no full-size zero array is written.
+    """
+    n, t, c = f.shape
+    blocks = f.data.reshape(n, t // block_len, block_len, c)
+    arg = np.argmax(blocks, axis=2)
+    pooled = np.take_along_axis(blocks, arg[:, :, None], axis=2)[:, :, 0]
+    # where each pooled value sits in f: sample, time step, channel
+    where = (np.arange(n)[:, None, None],
+             arg + np.arange(0, t, block_len)[:, None],
+             np.arange(c))
+
+    def backward(g):
+        f.grad[where] += g
+
+    return Tensor._from_op(pooled, (f,), backward)
+
+
+def _modulate(f: Tensor, hidden: Tensor, p: TfilmLayerParams) -> Tensor:
+    """gamma_b * F + beta_b within each block, as one tape node.
+
+    (gamma - 1, beta) = hidden @ proj_w.T + proj_b per block. Neither
+    gamma nor beta is broadcast to the size of ``f``; the backward sums
+    the output gradient over each block for dgamma and dbeta.
+    """
+    n, t, c = f.shape
+    num_blocks = t // p.block_len
+    blocks = f.data.reshape(n, num_blocks, p.block_len, c)
+    flat = hidden.data.reshape(n * num_blocks, hidden.shape[2])
+    w = p.proj_w.data
+    proj = (flat @ w.T + p.proj_b.data).reshape(n, num_blocks, 2 * c)
     gamma = proj[:, :, :c] + 1.0
     beta = proj[:, :, c:]
-    return gamma, beta
+    out = blocks * gamma[:, :, None]
+    out += beta[:, :, None]
+
+    def backward(g):
+        g = g.reshape(blocks.shape)
+        # one full-size buffer: g * blocks for dgamma, then dblocks
+        buf = np.multiply(g, blocks)
+        dproj = np.concatenate([buf.sum(axis=2), g.sum(axis=2)], axis=2)
+        dproj = dproj.reshape(n * num_blocks, 2 * c)
+        if p.proj_w.requires_grad:
+            p.proj_w.accumulate_grad(dproj.T @ flat)
+        if p.proj_b.requires_grad:
+            p.proj_b.accumulate_grad(dproj.sum(axis=0))
+        if hidden.requires_grad:
+            hidden.accumulate_grad((dproj @ w).reshape(hidden.shape))
+        if f.requires_grad:
+            np.multiply(g, gamma[:, :, None], out=buf)
+            f.accumulate_grad(buf.reshape(n, t, c))
+
+    return Tensor._from_op(out.reshape(n, t, c), (f, hidden, p.proj_w, p.proj_b),
+                           backward)
 
 
 def tfilm_forward(f: Tensor, p: TfilmLayerParams) -> Tensor:
@@ -92,13 +146,9 @@ def tfilm_forward(f: Tensor, p: TfilmLayerParams) -> Tensor:
     b = p.block_len
     if b < 1 or t % b != 0:
         raise NonDivisibleLength(f"time dimension {t} not divisible by block length {b}")
-    num_blocks = t // b
 
-    blocks = f.reshape(n, num_blocks, b, c)
-    gamma, beta = _normalizers(blocks, p)
-    gamma = gamma.reshape(n, num_blocks, 1, c).broadcast_to(blocks.shape)
-    beta = beta.reshape(n, num_blocks, 1, c).broadcast_to(blocks.shape)
-    out = (gamma * blocks + beta).reshape(n, t, c)
+    hidden = lstm_scan(_block_max(f, b), p.lstm)      # (N, nB, H or 2H)
+    out = _modulate(f, hidden, p)
     return out.reshape(t, c) if squeeze else out
 
 

@@ -1,9 +1,11 @@
-"""TFiLM layer algebra: identity at init, shapes, causality."""
+"""TFiLM layer algebra: identity at init, shapes, causality, and the fused
+tape ops against their composition from generic ones."""
 
 import numpy as np
 import pytest
 
 from tfilm.errors import NonDivisibleLength, ShapeMismatch
+from tfilm.layers import lstm_scan
 from tfilm.modulation import (
     init_tfilm_params,
     tfilm_causality_probe,
@@ -16,6 +18,83 @@ def _params(channels, block_len, seed=0, bidirectional=False):
     return init_tfilm_params(channels, block_len,
                              np.random.default_rng(seed),
                              bidirectional=bidirectional)
+
+
+def _composed_forward(f, p):
+    """The layer from generic tape ops: max over each block, the scan, a
+    projection to (gamma, beta), both broadcast to the size of ``f``."""
+    squeeze = f.ndim == 2
+    if squeeze:
+        f = f.reshape(1, *f.shape)
+    n, t, c = f.shape
+    num_blocks = t // p.block_len
+    blocks = f.reshape(n, num_blocks, p.block_len, c)
+    hidden = lstm_scan(blocks.max(axis=2), p.lstm)
+    flat = hidden.reshape(n * num_blocks, hidden.shape[2])
+    proj = flat @ p.proj_w.transpose((1, 0))
+    proj = proj + p.proj_b.reshape(1, -1).broadcast_to(proj.shape)
+    proj = proj.reshape(n, num_blocks, 2 * c)
+    gamma = (proj[:, :, :c] + 1.0).reshape(n, num_blocks, 1, c).broadcast_to(blocks.shape)
+    beta = proj[:, :, c:].reshape(n, num_blocks, 1, c).broadcast_to(blocks.shape)
+    out = (gamma * blocks + beta).reshape(n, t, c)
+    return out.reshape(t, c) if squeeze else out
+
+
+def _output_and_grads(forward, x, p, weights):
+    """Output of ``forward`` and the gradients of sum(weights * output) with
+    respect to the input and each parameter tensor."""
+    for t in p.tensors():
+        t.grad = None
+    xt = Tensor(x, requires_grad=True)
+    out = forward(xt, p)
+    (out * Tensor(weights)).sum().backward()
+    names = ["x"] + [nm for nm, _ in p.lstm.named_tensors()] + ["proj_w", "proj_b"]
+    return out.data, dict(zip(names, [xt.grad] + [t.grad for t in p.tensors()]))
+
+
+def _assert_matches_composition(x, p, seed):
+    weights = np.random.default_rng(seed).normal(size=x.shape)
+    out, grads = _output_and_grads(tfilm_forward, x, p, weights)
+    ref_out, ref_grads = _output_and_grads(_composed_forward, x, p, weights)
+    assert np.array_equal(out, ref_out)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert g is not None, name
+        assert np.array_equal(g, ref_grads[name]), name
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("shape", [(1, 32, 3), (3, 32, 3), (32, 3)],
+                         ids=["N1", "N3", "squeezed"])
+def test_forward_and_grads_bit_equal_to_composition(shape, bidirectional):
+    rng = np.random.default_rng(11)
+    p = _params(3, 4, seed=12, bidirectional=bidirectional)
+    p.proj_w.data = rng.normal(size=p.proj_w.shape) * 0.3
+    p.proj_b.data = rng.normal(size=p.proj_b.shape) * 0.1
+    _assert_matches_composition(rng.normal(size=shape), p, seed=13)
+
+
+def test_pool_ties_route_to_earliest_index():
+    """After a ReLU a block can be all zero or repeat its maximum; the
+    pooled gradient goes to the first maximal sample, as Tensor.max's."""
+    rng = np.random.default_rng(14)
+    p = _params(2, 4, seed=15)
+    p.proj_w.data = rng.normal(size=p.proj_w.shape) * 0.3
+    x = np.maximum(rng.normal(size=(2, 16, 2)), 0.0)
+    x[0, 0:4, :] = 0.0                   # an all-zero block
+    x[1, 4:8, 0] = [0.5, 2.0, 1.0, 2.0]  # a maximum at two indices
+    x[1, 8:12, 1] = 3.0                  # a constant block
+    _assert_matches_composition(x, p, seed=16)
+
+    # with no output gradient on those blocks, their input gradient comes
+    # only through the pool, and lands on the earliest maximum alone
+    weights = rng.normal(size=x.shape)
+    weights[0, 0:4] = 0.0
+    weights[1, 4:12] = 0.0
+    dx = _output_and_grads(tfilm_forward, x, p, weights)[1]["x"]
+    assert np.all(dx[0, 0] != 0.0) and not dx[0, 1:4].any()
+    assert dx[1, 5, 0] != 0.0 and not dx[1, [4, 6, 7], 0].any()
+    assert dx[1, 8, 1] != 0.0 and not dx[1, 9:12, 1].any()
 
 
 def test_identity_at_init_exact():
