@@ -86,6 +86,14 @@ def _layer_checks(results, tol, h):
                lambda ps: _sq(lstm_scan(ps[0], lstm)),
                [x] + lstm.tensors(), results, tol, h)
 
+    # the frequency-domain forward: k 33 at C_in 65 (one output per tile)
+    # over 256 outputs, 8 overlap-save segments of 64 samples; its
+    # backward is the direct one
+    x = Tensor(rng.normal(size=(1, 256, 65)), requires_grad=True, name="x")
+    p = init_conv_params(3, 65, 33, rng)
+    _check("conv1d.freq", lambda ps: _sq(conv1d(ps[0], p)),
+           [x, p.weight, p.bias], results, tol, h, max_coords=40)
+
 
 def _tfilm_checks(results, tol, h, bidirectional=False):
     rng = np.random.default_rng(20240818)

@@ -15,6 +15,12 @@ L = 1, where the blocks are the taps themselves (the multi-GEMM form of
 Lavin & Gray 2016). No im2col buffer is built, and the backward keeps
 only the padded input. Conv weights are stored tap-major (see
 :class:`Conv1dParams`), so each tap's weights are a view.
+
+Long kernels (k >= 33) over long inputs at L = 1 run their forward in
+the frequency domain instead (overlap-save, as in Mathieu, Henaff &
+LeCun 2014): per DFT bin one GEMM over all input channels, with the
+DFTs themselves as GEMMs against cos/sin matrices. The backward is the
+direct one either way.
 """
 
 from __future__ import annotations
@@ -160,6 +166,147 @@ def _tile_len(cols, rows):
     return tile
 
 
+# The frequency path (see _freq_conv) takes the buffer reads at stride 1
+# and dilation 1 at L = 1 with k >= _FREQ_MIN_KERNEL and
+# T' >= _FREQ_MIN_SPAN * P outputs per item. It transforms the weight
+# _FREQ_CHANNELS input channels at a time and the segments _FREQ_GROUP
+# outputs at a time, so no temporary grows with T'. Measured on 2 cores
+# with OpenBLAS 0.3.31, one eval forward of a layer at N=1, min of 3-15,
+# direct GEMMs -> frequency path in ms:
+# - k 65, C 512 -> 256 (P 128; up4 of the paper-scale model at T' 2048):
+#   T' 128: 34 -> 53, 256: 62 -> 52, 512: 153 -> 70, 1024: 229 -> 86,
+#   2048: 429 -> 126.
+# - k 33, C 768 -> 512 (P 64; up3 at T' 1024): T' 64: 23 -> 45,
+#   128: 42 -> 63, 256: 69 -> 63, 512: 140 -> 78, 1024: 270 -> 119.
+# - k 33, C 128 -> 256 (P 64; down2 on its kept samples at T' 2048):
+#   T' 128: 5.3 -> 4.9, 256: 9.6 -> 8.6, 512: 17 -> 10, 1024: 29 -> 15,
+#   2048: 71 -> 35. At C 80 -> 80: T' 128: 1.0 -> 1.1, 256: 2.0 -> 1.6.
+# - k 17 (P 32), medians of 9, C 768 -> 512: T' 128: 25 -> 31,
+#   256: 46 -> 38, 512 (up2): 90 -> 64; C 256 -> 512 at T' 1024 (down3):
+#   61 -> 35. k 9 (P 16) lost at every layer that has it (0.6-0.9x).
+# So k 33 and 65 lose at T' <= 2P and win from 4P on; k 17 wins only
+# from 8P on, so one threshold in units of P would not cover it, and it
+# stays on the taps. Chunks of 32, 64, 128 and 256 input channels took
+# 157 / 130 / 135 / 130 ms at up4 and 169 / 153 / 139 / 155 ms at up3
+# (repeats spread by about 10%). Groups of 512, 1024 and 2048 outputs
+# took 251 / 170 / 135 ms at up4 (medians of 7): each group
+# re-transforms the weight, and a group's Z grows with it.
+_FREQ_MIN_KERNEL = 33
+_FREQ_MIN_SPAN = 4
+_FREQ_CHANNELS = 64
+_FREQ_GROUP = 2048
+
+
+def _freq_segment_len(k, tile, s, d, t_out):
+    """Padded segment length P of the frequency path, or 0 where the
+    direct GEMMs run: P = 2^ceil(log2(2k - 2)), so that each segment gives
+    B = P - k + 1 >= P/2 outputs."""
+    if tile != 1 or s != 1 or d != 1 or k < _FREQ_MIN_KERNEL:
+        return 0
+    seg = 1 << (2 * k - 3).bit_length()
+    return seg if t_out >= _FREQ_MIN_SPAN * seg else 0
+
+
+def _dft_matrices(seg, k):
+    """Real-DFT matrices for segments of ``seg`` samples and ``k`` taps,
+    over the F = seg/2 + 1 bins f of cos and -sin of 2*pi*f*m/seg:
+
+    - ``fwd`` (2F, seg): rows [Re; Im] of the DFT of a segment;
+    - ``taps`` (2F, k): rows (f, Re/Im) of the DFT of the taps;
+    - ``inv`` (B, 2F): the first B = seg - k + 1 samples of the inverse
+      DFT of a spectrum stored as rows (f, Re/Im).
+    """
+    bins = np.arange(seg // 2 + 1)[:, None]
+
+    def cos_sin(m):
+        # the angle's index reduced mod seg first, for exact periodicity
+        angle = (2 * np.pi / seg) * ((bins * m) % seg)
+        return np.cos(angle), -np.sin(angle)
+
+    c, s = cos_sin(np.arange(seg))
+    fwd = np.concatenate([c, s])
+    taps = np.stack(cos_sin(np.arange(k)), axis=1).reshape(-1, k)
+    # bins 0 and seg/2 count once, the others twice (with their mirrors)
+    scale = np.full((len(bins), 1), 2.0 / seg)
+    scale[[0, -1]] = 1.0 / seg
+    c, s = cos_sin(np.arange(seg - k + 1))
+    inv = np.stack([scale * c, scale * s], axis=1).reshape(-1, seg - k + 1).T.copy()
+    return fwd, taps, inv
+
+
+def _freq_conv(buf, wt, t_out, seg):
+    """y[i, t] = sum_j buf[i, t + j] @ wt[j] for t < t_out, by overlap-save.
+
+    ``buf`` is the (N, T_b, C) padded input with T_b >= t_out + k - 1 and
+    ``wt`` the (k, C, C_out) taps. Segment g of an item is its padded
+    samples [g*B, g*B + seg), whose circular cross-correlation with the
+    taps is exact at its first B = seg - k + 1 outputs. Per bin f, with
+    X = Xr + i*Xi the segments' spectra and W = Wr + i*Wi the taps',
+    Z = X * conj(W) is one real GEMM::
+
+        [Zr; Zi] = [[Xr, Xi], [Xi, -Xr]] @ [Wr; Wi]
+
+    All three transforms are GEMMs with cos/sin matrices: the weight
+    has k nonzero taps in seg samples and the segments are short, where a
+    GEMM outruns np.fft. The segments go in groups of _FREQ_GROUP outputs
+    and the channels in chunks of _FREQ_CHANNELS whose taps are
+    re-transformed per group, so that no temporary grows with T'.
+    """
+    n, t_b, c = buf.shape
+    k, _, cout = wt.shape
+    blen = seg - k + 1
+    bins = seg // 2 + 1
+    fwd, taps, inv = _dft_matrices(seg, k)
+    n_seg = -(-t_out // blen)
+    per_group = min(n_seg, max(1, _FREQ_GROUP // blen))
+    chunk = min(c, _FREQ_CHANNELS)
+    isz = buf.itemsize
+    out = np.empty((n, t_out, cout))
+    # flat scratch, sized for the largest group and chunk and reused:
+    # views of its prefixes hold each group's Z and the product of one
+    # chunk that is added to it, each chunk's spectra and its taps'
+    zbuf = np.empty(2 * bins * 2 * per_group * cout)
+    xbuf = np.empty(bins * 4 * per_group * chunk)
+    wbuf = np.empty(2 * bins * chunk * cout)
+    for i in range(n):
+        item = buf[i]
+        segs = as_strided(item, (n_seg, seg, c), (blen * c * isz, c * isz, isz))
+        for g0 in range(0, n_seg, per_group):
+            g1 = min(g0 + per_group, n_seg)
+            g = g1 - g0
+            # the last segment may run past the buffer: its DFT reads
+            # only the rows there are, as if the rest were zeros
+            full = g1 if (g1 - 1) * blen + seg <= t_b else g1 - 1
+            tail = item[full * blen:]
+            z, prod = zbuf[:2 * bins * 2 * g * cout].reshape(2, bins, 2 * g, cout)
+            for c0 in range(0, c, chunk):
+                w = min(chunk, c - c0)
+                # (bins, [Re-row, Im-row], g, [Re, Im], w): each bin's
+                # [[Xr, Xi], [Xi, -Xr]]
+                xs = xbuf[:bins * 4 * g * w].reshape(bins, 2, g, 2, w)
+                for part, rows in ((0, fwd[:bins]), (1, fwd[bins:])):
+                    dst = xs[:, 0, :, part].transpose(1, 0, 2)
+                    np.matmul(rows, segs[g0:full, :, c0:c0 + w], out=dst[:full - g0])
+                    if full < g1:
+                        np.matmul(rows[:, :len(tail)], tail[:, c0:c0 + w], out=dst[-1])
+                xs[:, 1, :, 0] = xs[:, 0, :, 1]
+                np.negative(xs[:, 0, :, 0], out=xs[:, 1, :, 1])
+                ws = wbuf[:2 * bins * w * cout].reshape(2 * bins, w * cout)
+                np.matmul(taps, wt[:, c0:c0 + w].reshape(k, w * cout), out=ws)
+                np.matmul(xs.reshape(bins, 2 * g, 2 * w), ws.reshape(bins, 2 * w, cout),
+                          out=prod if c0 else z)
+                if c0:
+                    z += prod
+            # (g, 2F, C_out) view of Z, whose rows are (f, Re/Im)
+            zs = z.reshape(2 * bins, g, cout).transpose(1, 0, 2)
+            t0, t1 = g0 * blen, min(g1 * blen, t_out)
+            whole = (t1 - t0) // blen
+            np.matmul(inv, zs[:whole], out=out[i, t0:t0 + whole * blen].reshape(whole, blen, cout))
+            if whole < g:
+                out[i, t0 + whole * blen:t1] = inv[:t1 - t0 - whole * blen] @ zs[whole]
+    return out
+
+
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     """Batched 1D cross-correlation with stride/dilation and same|valid padding.
 
@@ -183,6 +330,18 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     When d % s == 0 (the stride-2, dilation-2 down convs) every tap reads
     only every s-th padded sample, so the buffer keeps only those and the
     conv runs at stride 1 and dilation d/s.
+
+    Where the buffer is read at stride 1 and dilation 1 at L = 1, with
+    k >= 33 and T' >= 4P per item (P = 2^ceil(log2(2k - 2)); see
+    ``_freq_segment_len``), the forward runs by overlap-save in the
+    frequency domain instead (see ``_freq_conv``). Its per-bin products
+    take about 4*C_in*C_out multiply-adds per output, against k*C_in*C_out
+    for the taps, and the transforms about P*(k*C_in*C_out/2048 + 2*C_in
+    + C_out), the first term for the weight's, redone per 2048 outputs:
+    1.8-3.3x faster at the paper-scale model's down2, up3 and up4, slower
+    on short inputs or kernels (the sweep is beside ``_FREQ_MIN_KERNEL``).
+    The choice follows the geometry alone, never the grad mode, so train
+    and eval forwards stay bit-equal.
 
     The backward closure keeps the buffer and rebuilds the blocks. The
     input gradient is G @ T_m^T, overlap-added at each tile shift;
@@ -263,13 +422,18 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         return band.reshape(len(offsets), width * c, tile * cout)
 
     xw = windows(buf)
-    blks = blocks()
-    y = np.empty((n * per_item, tile * cout))
-    head = y[:rows]
-    np.matmul(xw[0], blks[0], out=head)
-    for o, blk in zip(offsets[1:], blks[1:]):
-        head += xw[o] @ blk
-    out = y.reshape(n, per_item * tile, cout)[:, :t_out] + b.data
+    seg = _freq_segment_len(k, tile, s, d, t_out)
+    if seg:
+        out = _freq_conv(buf, wt, t_out, seg)
+        out += b.data
+    else:
+        blks = blocks()
+        y = np.empty((n * per_item, tile * cout))
+        head = y[:rows]
+        np.matmul(xw[0], blks[0], out=head)
+        for o, blk in zip(offsets[1:], blks[1:]):
+            head += xw[o] @ blk
+        out = y.reshape(n, per_item * tile, cout)[:, :t_out] + b.data
 
     def backward(g_out):
         if b.requires_grad:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tfilm.layers as layers
 from tfilm.errors import (
     ChannelMismatch,
     ChannelsNotDivisible,
@@ -198,6 +199,121 @@ def test_conv1d_wide_input_holds_no_weight_copy(stride, dilation):
     # alive; a weight copy, even a passing one, exceeds the bound
     assert peak <= padded + 3 * out.data.nbytes + slack
     assert 2 * out.data.nbytes + slack < p.weight.data.nbytes
+
+
+def _direct_conv1d(x, p, monkeypatch):
+    """conv1d with the frequency path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(layers, "_FREQ_MIN_SPAN", 10**9)
+        return conv1d(x, p)
+
+
+@pytest.mark.parametrize("n,t,cin,cout,k", [
+    pytest.param(1, 2048, 70, 4, 65, id="n1-k65-whole-segments"),
+    # 34 segments of 32 and a ragged 35th; 130 input channels are two
+    # whole chunks and a ragged third
+    pytest.param(3, 1100, 130, 5, 33, id="n3-k33-ragged"),
+    # 66 segments of 64 in 3 groups, the last segment ragged
+    pytest.param(1, 4200, 66, 3, 65, id="n1-k65-groups"),
+    # one segment, shorter than its 64 samples
+    pytest.param(3, 20, 65, 2, 33, id="n3-k33-one-short-segment"),
+])
+def test_freq_conv_matches_direct(n, t, cin, cout, k, monkeypatch):
+    rng = RNG()
+    x = Tensor(rng.normal(size=(n, t, cin)))
+    p = init_conv_params(cout, cin, k, rng)
+    p.bias.data = rng.normal(size=cout)
+    seg = 1 << (2 * k - 3).bit_length()
+    # the buffer conv1d pads for "same": (k - 1) // 2 zeros on the left
+    pad = (k - 1) // 2
+    buf = np.zeros((n, t + k - 1, cin))
+    buf[:, pad:pad + t] = x.data
+    got = layers._freq_conv(buf, p.weight.data.T, t, seg)
+    want = _direct_conv1d(x, p, monkeypatch).data - p.bias.data
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_freq_conv_scratch_does_not_grow_with_length():
+    # segments go in groups of 2048 outputs, so 4x the outputs take the
+    # same scratch on top of the output
+    rng = RNG()
+    wt = rng.normal(size=(33, 80, 16))
+    scratch = []
+    for t in (4096, 16384):
+        buf = rng.normal(size=(1, t + 32, 80))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = layers._freq_conv(buf, wt, t, 64)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        scratch.append(peak - out.nbytes)
+    assert abs(scratch[1] - scratch[0]) <= 16384
+
+
+def _spy_freq(monkeypatch):
+    """Record (k, C_in, C_out, T') of each call of the frequency path."""
+    calls = []
+    real = layers._freq_conv
+
+    def spy(buf, wt, t_out, seg):
+        calls.append(wt.shape + (t_out,))
+        return real(buf, wt, t_out, seg)
+
+    monkeypatch.setattr(layers, "_freq_conv", spy)
+    return calls
+
+
+def test_freq_conv_of_zero_weights_is_exactly_zero(monkeypatch):
+    # the identity at init rests on zero weights giving zero outputs
+    rng = RNG()
+    buf = rng.normal(size=(2, 1100 + 32, 70))
+    assert not layers._freq_conv(buf, np.zeros((33, 70, 6)), 1100, 64).any()
+    p = init_conv_params(6, 70, 33, rng, zero=True)
+    p.bias.data = np.arange(6.0)
+    calls = _spy_freq(monkeypatch)
+    out = conv1d(Tensor(buf[:, :1024]), p)
+    assert calls == [(33, 70, 6, 1024)]
+    assert np.array_equal(out.data, np.broadcast_to(np.arange(6.0), out.shape))
+
+
+@pytest.mark.parametrize("stride,dilation,k,t", [
+    pytest.param(1, 1, 65, 512, id="s1-k65-at-4P"),
+    # the down convs' stride 2 at dilation 2: a stride-1 read of the kept
+    # samples, as at down2 of the paper-scale model
+    pytest.param(2, 2, 33, 1030, id="down2-like-kept-samples"),
+])
+def test_conv1d_frequency_path_matches_direct_with_direct_gradients(
+        stride, dilation, k, t, monkeypatch):
+    rng = RNG()
+    x = Tensor(rng.normal(size=(2, t, 80)), requires_grad=True)
+    p = init_conv_params(7, 80, k, rng, stride=stride, dilation=dilation)
+    p.bias.data = rng.normal(size=7)
+    g = rng.normal(size=(2, -(-t // stride), 7))
+    calls = _spy_freq(monkeypatch)
+    results = []
+    for conv in (conv1d, lambda x, p: _direct_conv1d(x, p, monkeypatch)):
+        x.grad = p.weight.grad = p.bias.grad = None
+        out = conv(x, p)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, x.grad, p.weight.grad, p.bias.grad))
+    assert calls == [(k, 80, 7, g.shape[1])]
+    (y, *grads), (y_direct, *grads_direct) = results
+    assert np.abs(y - y_direct).max() <= 1e-12 * np.abs(y_direct).max()
+    # the backward is the direct one, whichever forward ran
+    for a, b in zip(grads, grads_direct):
+        assert np.array_equal(a, b)
+
+
+def test_frequency_path_needs_long_kernels_and_outputs():
+    # P = 64 at k 33 and 128 at k 65; T' from 4P on
+    assert layers._freq_segment_len(33, 1, 1, 1, 256) == 64
+    assert layers._freq_segment_len(65, 1, 1, 1, 512) == 128
+    assert layers._freq_segment_len(65, 1, 1, 1, 511) == 0
+    assert layers._freq_segment_len(17, 1, 1, 1, 4096) == 0
+    for tile, s, d in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
+        assert layers._freq_segment_len(65, tile, s, d, 4096) == 0
 
 
 def test_conv1d_same_stride1_preserves_length():

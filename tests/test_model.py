@@ -30,6 +30,8 @@ from tfilm.model import (
 from tfilm.tensor import Tensor
 from tfilm.train import mse_loss
 
+from test_layers import _spy_freq
+
 MINI = ModelConfig(depth=2, patch_length=64, max_filters=8, tfilm_blocks=4,
                    dropout_rate=0.5)
 # the criterion-6 super-resolution config
@@ -39,12 +41,13 @@ SR = ModelConfig(depth=2, patch_length=2048, max_filters=16, tfilm_blocks=32,
 
 def _perturbed(cfg, seed):
     """A model whose zero-initialized tensors are moved off zero, so it is
-    not the identity and every parameter shapes the output."""
+    not the identity and every parameter shapes the output. The values are
+    written in place, in the layouts build_model gives the tensors."""
     model = build_model(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     for p in model.params():
         if not p.data.any():
-            p.data = rng.normal(size=p.shape) * 0.1
+            p.data[...] = rng.normal(size=p.shape) * 0.1
     return model
 
 
@@ -290,9 +293,10 @@ def test_conv_weights_tap_major_after_build_and_load(tmp_path):
 
 
 def test_checkpoint_bytes_do_not_depend_on_weight_layout(tmp_path):
-    # _perturbed rebinds the final conv weight to a row-major array
     model = _perturbed(MINI, seed=4)
-    assert model.final.conv.weight.data.flags.c_contiguous
+    weight = model.final.conv.weight
+    weight.data = np.ascontiguousarray(weight.data)     # rebound row-major
+    assert weight.data.flags.c_contiguous and not weight.data.flags.f_contiguous
     save_checkpoint(tmp_path / "a.ckpt", model)
     for w in _conv_weights(model):
         w.data = np.asfortranarray(w.data)
@@ -498,6 +502,37 @@ def test_eval_forward_is_bit_equal_to_train_without_dropout():
     out = model.forward(x, mode="eval").data
     assert not np.array_equal(out, x.data)
     assert np.array_equal(out, model.forward(x, mode="train").data)
+
+
+def test_eval_forward_is_bit_equal_to_train_on_the_frequency_path(monkeypatch):
+    # up1 is k 65 at C_in 80 over T' 512 = 4P: its forward runs in the
+    # frequency domain, in train and eval mode alike
+    cfg = ModelConfig(depth=1, patch_length=2048, max_filters=80, tfilm_blocks=32,
+                      dropout_rate=0.0)
+    model = _perturbed(cfg, seed=4)
+    calls = _spy_freq(monkeypatch)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 2048, 1)))
+    out = model.forward(x, mode="eval").data
+    assert calls == [(65, 80, 80, 512)]
+    assert not np.array_equal(out, x.data)
+    assert np.array_equal(out, model.forward(x, mode="train").data)
+    assert len(calls) == 2
+
+
+def test_frequency_path_runs_only_the_long_paper_scale_convs(monkeypatch):
+    calls = _spy_freq(monkeypatch)
+    # the SR and imputation configs: every conv is tiled (L > 1)
+    for cfg in (SR, ModelConfig(depth=2, input_channels=2, patch_length=512,
+                                max_filters=16, tfilm_blocks=16)):
+        build_model(cfg, seed=0).forward(
+            Tensor(np.zeros((1, cfg.patch_length, cfg.input_channels))))
+    assert calls == []
+    # the paper-scale K=4 model at T=8192: down2 on its kept samples, up3
+    # and up4 (k 33, 33 and 65 at C_in 128, 768 and 512); down1 runs at
+    # L = 32 and the rest have k <= 17
+    cfg = ModelConfig()
+    build_model(cfg, seed=0).forward(Tensor(np.zeros((1, cfg.patch_length, 1))))
+    assert calls == [(33, 128, 256, 2048), (33, 768, 512, 1024), (65, 512, 256, 2048)]
 
 
 def test_eval_forward_records_no_tape():
