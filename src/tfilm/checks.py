@@ -86,12 +86,20 @@ def _layer_checks(results, tol, h):
                lambda ps: _sq(lstm_scan(ps[0], lstm)),
                [x] + lstm.tensors(), results, tol, h)
 
-    # the frequency-domain forward: k 33 at C_in 65 (one output per tile)
-    # over 256 outputs, 8 overlap-save segments of 64 samples; its
-    # backward is the direct one
+    # the frequency path: k 33 at C_in 65 over 256 outputs, 8 overlap-save
+    # segments of 32 outputs, two input-channel chunks (the input takes
+    # the product's real form)
     x = Tensor(rng.normal(size=(1, 256, 65)), requires_grad=True, name="x")
     p = init_conv_params(3, 65, 33, rng)
     _check("conv1d.freq", lambda ps: _sq(conv1d(ps[0], p)),
+           [x, p.weight, p.bias], results, tol, h, max_coords=40)
+
+    # the same at C_in 16, where the taps would run in tiles of 8 outputs:
+    # one chunk (the weight takes the real form), two items sharing one
+    # segment group
+    x = Tensor(rng.normal(size=(2, 256, 16)), requires_grad=True, name="x")
+    p = init_conv_params(3, 16, 33, rng)
+    _check("conv1d.freq.batched", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h, max_coords=40)
 
 

@@ -16,15 +16,17 @@ Lavin & Gray 2016). No im2col buffer is built, and the backward keeps
 only the padded input. Conv weights are stored tap-major (see
 :class:`Conv1dParams`), so each tap's weights are a view.
 
-Long kernels (k >= 33) over long inputs at L = 1 run their forward in
-the frequency domain instead (overlap-save, as in Mathieu, Henaff &
-LeCun 2014): per DFT bin one GEMM over all input channels, with the
-DFTs themselves as GEMMs against cos/sin matrices. The backward is the
-direct one either way.
+Long kernels (k >= 17) over long inputs of at least 4 channels, read
+at stride 1 and dilation 1, run in the frequency domain instead, at any
+tile length and batch size (overlap-save, as in Mathieu, Henaff & LeCun
+2014): per DFT bin one GEMM over all input channels, with the DFTs
+themselves as GEMMs against cos/sin matrices. Their backward is the
+exact adjoint of those GEMMs, so it too runs in the frequency domain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -166,145 +168,315 @@ def _tile_len(cols, rows):
     return tile
 
 
-# The frequency path (see _freq_conv) takes the buffer reads at stride 1
-# and dilation 1 at L = 1 with k >= _FREQ_MIN_KERNEL and
-# T' >= _FREQ_MIN_SPAN * P outputs per item. It transforms the weight
+# The frequency path (see _FreqPlan) takes the buffer reads at stride 1
+# and dilation 1 with k >= _FREQ_MIN_KERNEL, C_in >= _FREQ_MIN_CHANNELS
+# and T' >= max(_FREQ_MIN_SPAN * P, _FREQ_MIN_OUTPUTS) outputs per item,
+# at any tile length L and batch size. It transforms the weight
 # _FREQ_CHANNELS input channels at a time and the segments _FREQ_GROUP
 # outputs at a time, so no temporary grows with T'. Measured on 2 cores
-# with OpenBLAS 0.3.31, one eval forward of a layer at N=1, min of 3-15,
-# direct GEMMs -> frequency path in ms:
-# - k 65, C 512 -> 256 (P 128; up4 of the paper-scale model at T' 2048):
-#   T' 128: 34 -> 53, 256: 62 -> 52, 512: 153 -> 70, 1024: 229 -> 86,
-#   2048: 429 -> 126.
-# - k 33, C 768 -> 512 (P 64; up3 at T' 1024): T' 64: 23 -> 45,
-#   128: 42 -> 63, 256: 69 -> 63, 512: 140 -> 78, 1024: 270 -> 119.
-# - k 33, C 128 -> 256 (P 64; down2 on its kept samples at T' 2048):
-#   T' 128: 5.3 -> 4.9, 256: 9.6 -> 8.6, 512: 17 -> 10, 1024: 29 -> 15,
-#   2048: 71 -> 35. At C 80 -> 80: T' 128: 1.0 -> 1.1, 256: 2.0 -> 1.6.
-# - k 17 (P 32), medians of 9, C 768 -> 512: T' 128: 25 -> 31,
-#   256: 46 -> 38, 512 (up2): 90 -> 64; C 256 -> 512 at T' 1024 (down3):
-#   61 -> 35. k 9 (P 16) lost at every layer that has it (0.6-0.9x).
-# So k 33 and 65 lose at T' <= 2P and win from 4P on; k 17 wins only
-# from 8P on, so one threshold in units of P would not cover it, and it
-# stays on the taps. Chunks of 32, 64, 128 and 256 input channels took
-# 157 / 130 / 135 / 130 ms at up4 and 169 / 153 / 139 / 155 ms at up3
-# (repeats spread by about 10%). Groups of 512, 1024 and 2048 outputs
-# took 251 / 170 / 135 ms at up4 (medians of 7): each group
-# re-transforms the weight, and a group's Z grows with it.
-_FREQ_MIN_KERNEL = 33
+# with OpenBLAS 0.3.31, medians of 7-9 alternating runs, direct GEMMs ->
+# frequency path in ms:
+# - Forward and backward at N=16, C_out 16 (the SR model's geometry):
+#   k 65, C_in 24 (up2): T' 256: 18.1 -> 12.4, 512: 34.2 -> 21.5. k 33,
+#   C_in 16: T' 128: 3.6 -> 2.7, 256 (up1): 6.3 -> 4.8, 512 (down2, on
+#   its kept samples): 12.2 -> 9.3. k 17, C_in 16: T' 256: 3.7 -> 4.0,
+#   512: 9.1 -> 7.8. k 9: 5.5 -> 7.3. k 65 at T' 1024 by C_in: 1
+#   (down1, at L = 32): 8.5 -> 12.0, 2: 10.7 -> 12.2, 3: 13.1 -> 14.2,
+#   4: 15.2 -> 13.0.
+# - Eval forward at N=1 (the paper-scale model): k 65, C 512 -> 256
+#   (up4): T' 256: 62 -> 53, 2048: 430 -> 117; forward and backward at
+#   T' 2048: 1593 -> 490. k 33, C 768 -> 512 (up3, T' 1024): 315 -> 140;
+#   C 128 -> 256 (down2, T' 2048): 93 -> 35. k 17, C 768 -> 512: T' 128:
+#   23 -> 29, 256: 34 -> 36, 512 (up2): 68 -> 48; C 256 -> 512 (down3,
+#   T' 1024): 49 -> 36, forward and backward 275 -> 163. k 9, C 512 ->
+#   512, T' 512: 31 -> 32.
+# So k 33 and 65 win from T' = 2P on at these widths (the forward-only
+# path this replaced lost at 2P at up3's width, 42 -> 63 ms at T' 128,
+# so the span stays 4P), k 17 breaks even at T' = 256 and wins from 512
+# on, and k 9 and inputs of 1 to 3 channels (where the taps run wide
+# tiles) lose. Past one chunk the product's real form goes on the input
+# side (see _FreqPlan): with the weight taking it, up3 and up4 ran about
+# 1.6x slower. Chunks of 32, 64 and 128 input channels took 164 / 149 /
+# 166 ms at up3; with groups of 1024, 2048 and 8192 outputs the SR
+# training step ran 1.28x, 1.28x and 1.24x faster than on the tap GEMMs.
+_FREQ_MIN_KERNEL = 17
+_FREQ_MIN_CHANNELS = 4
 _FREQ_MIN_SPAN = 4
+_FREQ_MIN_OUTPUTS = 256
 _FREQ_CHANNELS = 64
 _FREQ_GROUP = 2048
 
 
-def _freq_segment_len(k, tile, s, d, t_out):
+def _freq_segment_len(k, c, s, d, t_out):
     """Padded segment length P of the frequency path, or 0 where the
-    direct GEMMs run: P = 2^ceil(log2(2k - 2)), so that each segment gives
-    B = P - k + 1 >= P/2 outputs."""
-    if tile != 1 or s != 1 or d != 1 or k < _FREQ_MIN_KERNEL:
+    direct GEMMs run: P = 2^ceil(log2(2k - 2)), so that the first P/2
+    outputs of each segment are exact."""
+    if s != 1 or d != 1 or k < _FREQ_MIN_KERNEL or c < _FREQ_MIN_CHANNELS:
         return 0
     seg = 1 << (2 * k - 3).bit_length()
-    return seg if t_out >= _FREQ_MIN_SPAN * seg else 0
+    return seg if t_out >= max(_FREQ_MIN_SPAN * seg, _FREQ_MIN_OUTPUTS) else 0
 
 
+@functools.lru_cache(maxsize=32)
 def _dft_matrices(seg, k):
     """Real-DFT matrices for segments of ``seg`` samples and ``k`` taps,
-    over the F = seg/2 + 1 bins f of cos and -sin of 2*pi*f*m/seg:
+    over the F = seg/2 + 1 bins f of cos and -sin of 2*pi*f*m/seg, all
+    with rows or columns (f, Re/Im). With B = seg/2:
 
-    - ``fwd`` (2F, seg): rows [Re; Im] of the DFT of a segment;
-    - ``taps`` (2F, k): rows (f, Re/Im) of the DFT of the taps;
-    - ``inv`` (B, 2F): the first B = seg - k + 1 samples of the inverse
-      DFT of a spectrum stored as rows (f, Re/Im).
+    - ``half`` (2F, B): the DFT of B samples followed by B zeros. B
+      samples in the second half instead have the same DFT times (-1)^f;
+    - ``taps`` (2F, k): the DFT of the taps;
+    - ``inv`` (B, 2F): the first B samples of the inverse DFT.
+
+    Cached per (seg, k) (a model has a few kernel lengths), so the arrays
+    are read-only.
     """
     bins = np.arange(seg // 2 + 1)[:, None]
 
     def cos_sin(m):
         # the angle's index reduced mod seg first, for exact periodicity
         angle = (2 * np.pi / seg) * ((bins * m) % seg)
-        return np.cos(angle), -np.sin(angle)
+        return np.stack([np.cos(angle), -np.sin(angle)], axis=1).reshape(-1, len(m))
 
-    c, s = cos_sin(np.arange(seg))
-    fwd = np.concatenate([c, s])
-    taps = np.stack(cos_sin(np.arange(k)), axis=1).reshape(-1, k)
+    half = cos_sin(np.arange(seg // 2))
+    taps = cos_sin(np.arange(k))
     # bins 0 and seg/2 count once, the others twice (with their mirrors)
-    scale = np.full((len(bins), 1), 2.0 / seg)
-    scale[[0, -1]] = 1.0 / seg
-    c, s = cos_sin(np.arange(seg - k + 1))
-    inv = np.stack([scale * c, scale * s], axis=1).reshape(-1, seg - k + 1).T.copy()
-    return fwd, taps, inv
+    scale = np.full(2 * len(bins), 2.0 / seg)
+    scale[[0, 1, -2, -1]] = 1.0 / seg
+    inv = (scale[:, None] * half).T
+    for a in (half, taps, inv):
+        a.flags.writeable = False
+    return half, taps, inv
+
+
+def _freq_groups(n, n_seg, per_group):
+    """Segment groups (i0, i1, j0, j1): segments [j0, j1) of items
+    [i0, i1), either whole items or a run of one item's segments, at most
+    ``per_group`` segments (or one whole item) each."""
+    if n_seg <= per_group:
+        m = per_group // n_seg
+        return [(i, min(i + m, n), 0, n_seg) for i in range(0, n, m)]
+    return [(i, i + 1, j, min(j + per_group, n_seg))
+            for i in range(n) for j in range(0, n_seg, per_group)]
+
+
+def _alternate(a, b, out):
+    """out = a + (-1)^f * b, for bins f on axis -3."""
+    np.add(a[..., 0::2, :, :], b[..., 0::2, :, :], out=out[..., 0::2, :, :])
+    np.subtract(a[..., 1::2, :, :], b[..., 1::2, :, :], out=out[..., 1::2, :, :])
+
+
+class _FreqPlan:
+    """Geometry, matrices and reused scratch of one frequency-path call.
+
+    ``buf`` is the (N, (n_seg + 1) * B, C) padded input with B = seg/2:
+    segment g of an item is its half-blocks g and g + 1 of B samples, and
+    its circular cross-correlation with the k <= B + 1 taps is exact at
+    its first B outputs. With Y_j = Yr + i*Yi the spectrum of half-block
+    j (zero-padded to seg samples) and W = Wr + i*Wi the taps', the
+    products P_j = Y_j * conj(W) take one real GEMM per bin f over all
+    half-blocks of a group, with the real form of the complex product on
+    the weight's side or on the input's::
+
+        [Pr, Pi] = [Yr, Yi] @ [[Wr, -Wi], [Wi, Wr]]
+        [Pr; Pi] = [[Yr, Yi], [Yi, -Yr]] @ [Wr; Wi]
+
+    The first copies the weight's spectra into 4*F*C*C_out entries, the
+    second each half-block's into 2*F*C. With one input-channel chunk
+    the weight takes the first, once per call. With several it would
+    take it per group and chunk, which costs more than the input's copies
+    at every paper-scale layer, so the input takes the second.
+
+    Segment g's product is Z_g = P_g + (-1)^f * P_{g+1}, so each
+    half-block is transformed and multiplied once, not twice.
+    """
+
+    def __init__(self, buf, wt, seg):
+        self.n, t_b, self.c = buf.shape
+        self.k, _, self.cout = wt.shape
+        self.blen = seg // 2
+        self.bins = seg // 2 + 1
+        self.n_seg = t_b // self.blen - 1
+        self.half, self.taps, self.inv = _dft_matrices(seg, self.k)
+        # (N, n_seg + 1, B, C) half-blocks
+        self.blocks = buf.reshape(self.n, self.n_seg + 1, self.blen, self.c)
+        self.wt = wt
+        self.groups = _freq_groups(self.n, self.n_seg, max(1, _FREQ_GROUP // self.blen))
+        chunk = min(self.c, _FREQ_CHANNELS)
+        self.chunks = [(c0, min(chunk, self.c - c0)) for c0 in range(0, self.c, chunk)]
+        self.w4 = None
+        if len(self.chunks) == 1:
+            ws = self.weight_spectra(0, self.c).reshape(self.bins, 2, self.c, self.cout)
+            w4 = np.empty((self.bins, 2, self.c, 2, self.cout))
+            w4[:, 0, :, 0] = w4[:, 1, :, 1] = ws[:, 0]
+            w4[:, 1, :, 0] = ws[:, 1]
+            np.negative(ws[:, 1], out=w4[:, 0, :, 1])
+            self.w4 = w4.reshape(self.bins, 2 * self.c, 2 * self.cout)
+        hb = max((i1 - i0) * (j1 - j0 + 1) for i0, i1, j0, j1 in self.groups)
+        # flat scratch, sized for the largest group and chunk and reused
+        self.xbuf = np.empty((2 if self.w4 is not None else 4) * self.bins * hb * chunk)
+        self.pbuf = np.empty(2 * hb * 2 * self.bins * self.cout)
+
+    def weight_spectra(self, c0, w):
+        """(F, 2w, C_out) [Wr; Wi] of input channels [c0, c0 + w)."""
+        ws = self.taps @ self.wt[:, c0:c0 + w].reshape(self.k, w * self.cout)
+        return ws.reshape(self.bins, 2 * w, self.cout)
+
+    def spectra(self, group, c0, w):
+        """The real form of a group's half-blocks' spectra at input
+        channels [c0, c0 + w), in reused scratch: (ni, nh, F, 2w)
+        [Yr, Yi] where the weight takes the real form, else
+        (F, 2, ni, nh, 2w) [[Yr, Yi], [Yi, -Yr]]."""
+        i0, i1, j0, j1 = group
+        blocks = self.blocks[i0:i1, j0:j1 + 1, :, c0:c0 + w]
+        ni, nh = blocks.shape[:2]
+        if self.w4 is not None:
+            ys = self.xbuf[:ni * nh * 2 * self.bins * w].reshape(ni, nh, 2 * self.bins, w)
+            np.matmul(self.half, blocks, out=ys)
+            return ys.reshape(ni, nh, self.bins, 2 * w)
+        xs = self.xbuf[:self.bins * 4 * ni * nh * w].reshape(self.bins, 2, ni, nh, 2, w)
+        for part in (0, 1):     # the Re and the Im rows
+            np.matmul(self.half[part::2], blocks, out=xs[:, 0, :, :, part].transpose(1, 2, 0, 3))
+        xs[:, 1, :, :, 0] = xs[:, 0, :, :, 1]
+        np.negative(xs[:, 0, :, :, 0], out=xs[:, 1, :, :, 1])
+        return xs.reshape(self.bins, 2, ni, nh, 2 * w)
+
+    def products(self, group):
+        """Two flat scratch arrays, each the size of a group's half-block
+        products, and an (ni, nh, F, 2, C_out) view of the first."""
+        i0, i1, j0, j1 = group
+        ni, nh = i1 - i0, j1 - j0 + 1
+        size = ni * nh * 2 * self.bins * self.cout
+        p = self.pbuf[:size]
+        if self.w4 is not None:
+            view = p.reshape(ni, nh, self.bins, 2, self.cout)
+        else:
+            view = p.reshape(self.bins, 2, ni, nh, self.cout).transpose(2, 3, 0, 1, 4)
+        return p, view, self.pbuf[size:2 * size]
+
+    def multiply(self, ys, ws, out):
+        """The products of the spectra ``ys`` of :meth:`spectra` and the
+        weight's ``ws`` into ``out``, the memory of :meth:`products`."""
+        if self.w4 is not None:
+            ni, nh, f, w2 = ys.shape
+            np.matmul(ys.reshape(-1, f, w2).swapaxes(0, 1), self.w4,
+                      out=out.reshape(-1, f, 2 * self.cout).swapaxes(0, 1))
+        else:
+            np.matmul(ys.reshape(self.bins, -1, ys.shape[-1]), ws,
+                      out=out.reshape(self.bins, -1, self.cout))
+
+    def multiply_grads(self, ys, ws, dp, want_w, want_x):
+        """The adjoint of :meth:`multiply` at the products' gradient
+        ``dp``: the (2F, w*C_out) [dWr; dWi] (or None), and the
+        (ni, nh, 2F, w) d[Yr, Yi] (or None), rows (f, Re/Im)."""
+        dws = dy = None
+        if self.w4 is not None:
+            ni, nh, f, w2 = ys.shape
+            y_bins = ys.reshape(-1, f, w2).swapaxes(0, 1)
+            dp_bins = dp.reshape(-1, f, 2 * self.cout).swapaxes(0, 1)
+            if want_w:
+                m = np.matmul(y_bins.transpose(0, 2, 1), dp_bins)
+                m = m.reshape(f, 2, w2 // 2, 2, self.cout)
+                dws = np.empty((f, 2, w2 // 2, self.cout))
+                np.add(m[:, 0, :, 0], m[:, 1, :, 1], out=dws[:, 0])
+                np.subtract(m[:, 1, :, 0], m[:, 0, :, 1], out=dws[:, 1])
+            if want_x:
+                # ys's scratch takes d[Yr, Yi]
+                np.matmul(dp_bins, self.w4.transpose(0, 2, 1), out=y_bins)
+                dy = ys.reshape(ni, nh, 2 * f, w2 // 2)
+        else:
+            f, _, ni, nh, w2 = ys.shape
+            xs = ys.reshape(f, -1, w2)
+            dp2 = dp.reshape(f, -1, self.cout)
+            if want_w:
+                dws = np.matmul(xs.transpose(0, 2, 1), dp2)
+            if want_x:
+                # xs's scratch takes d[[Yr, Yi], [Yi, -Yr]]
+                d = np.matmul(dp2, ws.transpose(0, 2, 1), out=xs)
+                d = d.reshape(f, 2, ni, nh, 2, w2 // 2)
+                dy = np.empty((ni, nh, f, 2, w2 // 2))
+                np.subtract(d[:, 0, :, :, 0], d[:, 1, :, :, 1], out=dy[:, :, :, 0].transpose(2, 0, 1, 3))
+                np.add(d[:, 0, :, :, 1], d[:, 1, :, :, 0], out=dy[:, :, :, 1].transpose(2, 0, 1, 3))
+                dy = dy.reshape(ni, nh, 2 * f, w2 // 2)
+        return None if dws is None else dws.reshape(2 * self.bins, -1), dy
 
 
 def _freq_conv(buf, wt, t_out, seg):
     """y[i, t] = sum_j buf[i, t + j] @ wt[j] for t < t_out, by overlap-save.
 
-    ``buf`` is the (N, T_b, C) padded input with T_b >= t_out + k - 1 and
-    ``wt`` the (k, C, C_out) taps. Segment g of an item is its padded
-    samples [g*B, g*B + seg), whose circular cross-correlation with the
-    taps is exact at its first B = seg - k + 1 outputs. Per bin f, with
-    X = Xr + i*Xi the segments' spectra and W = Wr + i*Wi the taps',
-    Z = X * conj(W) is one real GEMM::
-
-        [Zr; Zi] = [[Xr, Xi], [Xi, -Xr]] @ [Wr; Wi]
-
-    All three transforms are GEMMs with cos/sin matrices: the weight
-    has k nonzero taps in seg samples and the segments are short, where a
-    GEMM outruns np.fft. The segments go in groups of _FREQ_GROUP outputs
-    and the channels in chunks of _FREQ_CHANNELS whose taps are
-    re-transformed per group, so that no temporary grows with T'.
+    ``buf`` is the (N, (n_seg + 1) * B, C) padded input, B = seg/2 and
+    n_seg = ceil(t_out / B), and ``wt`` the (k, C, C_out) taps, k <= B + 1.
+    See :class:`_FreqPlan` for the maths. All three transforms are GEMMs
+    with cos/sin matrices: the weight has k nonzero taps in seg samples
+    and the half-blocks are short, where a GEMM outruns np.fft. The N
+    items share one row space of segments, which go in groups of
+    _FREQ_GROUP outputs; the input channels go in chunks of
+    _FREQ_CHANNELS, whose taps are re-transformed per group past one
+    chunk, so that no temporary grows with T'.
     """
-    n, t_b, c = buf.shape
-    k, _, cout = wt.shape
-    blen = seg - k + 1
-    bins = seg // 2 + 1
-    fwd, taps, inv = _dft_matrices(seg, k)
-    n_seg = -(-t_out // blen)
-    per_group = min(n_seg, max(1, _FREQ_GROUP // blen))
-    chunk = min(c, _FREQ_CHANNELS)
-    isz = buf.itemsize
-    out = np.empty((n, t_out, cout))
-    # flat scratch, sized for the largest group and chunk and reused:
-    # views of its prefixes hold each group's Z and the product of one
-    # chunk that is added to it, each chunk's spectra and its taps'
-    zbuf = np.empty(2 * bins * 2 * per_group * cout)
-    xbuf = np.empty(bins * 4 * per_group * chunk)
-    wbuf = np.empty(2 * bins * chunk * cout)
-    for i in range(n):
-        item = buf[i]
-        segs = as_strided(item, (n_seg, seg, c), (blen * c * isz, c * isz, isz))
-        for g0 in range(0, n_seg, per_group):
-            g1 = min(g0 + per_group, n_seg)
-            g = g1 - g0
-            # the last segment may run past the buffer: its DFT reads
-            # only the rows there are, as if the rest were zeros
-            full = g1 if (g1 - 1) * blen + seg <= t_b else g1 - 1
-            tail = item[full * blen:]
-            z, prod = zbuf[:2 * bins * 2 * g * cout].reshape(2, bins, 2 * g, cout)
-            for c0 in range(0, c, chunk):
-                w = min(chunk, c - c0)
-                # (bins, [Re-row, Im-row], g, [Re, Im], w): each bin's
-                # [[Xr, Xi], [Xi, -Xr]]
-                xs = xbuf[:bins * 4 * g * w].reshape(bins, 2, g, 2, w)
-                for part, rows in ((0, fwd[:bins]), (1, fwd[bins:])):
-                    dst = xs[:, 0, :, part].transpose(1, 0, 2)
-                    np.matmul(rows, segs[g0:full, :, c0:c0 + w], out=dst[:full - g0])
-                    if full < g1:
-                        np.matmul(rows[:, :len(tail)], tail[:, c0:c0 + w], out=dst[-1])
-                xs[:, 1, :, 0] = xs[:, 0, :, 1]
-                np.negative(xs[:, 0, :, 0], out=xs[:, 1, :, 1])
-                ws = wbuf[:2 * bins * w * cout].reshape(2 * bins, w * cout)
-                np.matmul(taps, wt[:, c0:c0 + w].reshape(k, w * cout), out=ws)
-                np.matmul(xs.reshape(bins, 2 * g, 2 * w), ws.reshape(bins, 2 * w, cout),
-                          out=prod if c0 else z)
-                if c0:
-                    z += prod
-            # (g, 2F, C_out) view of Z, whose rows are (f, Re/Im)
-            zs = z.reshape(2 * bins, g, cout).transpose(1, 0, 2)
-            t0, t1 = g0 * blen, min(g1 * blen, t_out)
-            whole = (t1 - t0) // blen
-            np.matmul(inv, zs[:whole], out=out[i, t0:t0 + whole * blen].reshape(whole, blen, cout))
-            if whole < g:
-                out[i, t0 + whole * blen:t1] = inv[:t1 - t0 - whole * blen] @ zs[whole]
-    return out
+    plan = _FreqPlan(buf, wt, seg)
+    n, blen, cout, bins = plan.n, plan.blen, plan.cout, plan.bins
+    y = np.empty((n, plan.n_seg * blen, cout))
+    segs_out = y.reshape(n, plan.n_seg, blen, cout)
+    for group in plan.groups:
+        i0, i1, j0, j1 = group
+        p, pv, prod = plan.products(group)
+        for c0, w in plan.chunks:
+            ws = None if plan.w4 is not None else plan.weight_spectra(c0, w)
+            plan.multiply(plan.spectra(group, c0, w), ws, prod if c0 else p)
+            if c0:
+                p += prod
+        # Z in the second scratch, (ni, nj, F, 2, C_out)
+        z = prod[:(i1 - i0) * (j1 - j0) * 2 * bins * cout].reshape(i1 - i0, j1 - j0, bins, 2, cout)
+        _alternate(pv[:, :-1], pv[:, 1:], z)
+        np.matmul(plan.inv, z.reshape(i1 - i0, j1 - j0, 2 * bins, cout), out=segs_out[i0:i1, j0:j1])
+    return y[:, :t_out]
+
+
+def _freq_conv_grads(buf, wt, g_out, seg, want_w=True, want_x=True):
+    """Gradients (dwt, dbuf) of sum(g_out * _freq_conv(buf, wt, t_out,
+    seg)), the exact adjoint of its steps; either is None where not
+    wanted. Per group, dZ = inv^T g and dP_j = dZ_j + (-1)^f dZ_{j-1};
+    per chunk, with the half-blocks' spectra recomputed from ``buf``, the
+    adjoint of the product (:meth:`_FreqPlan.multiply_grads`) gives
+    [dWr; dWi], taken back to the taps by taps^T, and d[Yr, Yi], taken
+    back to the samples by half^T.
+    """
+    plan = _FreqPlan(buf, wt, seg)
+    n, blen, cout, bins, k = plan.n, plan.blen, plan.cout, plan.bins, plan.k
+    t_out = g_out.shape[1]
+    if t_out != plan.n_seg * blen:
+        g, g_out = g_out, np.zeros((n, plan.n_seg * blen, cout))
+        g_out[:, :t_out] = g
+    g_segs = g_out.reshape(n, plan.n_seg, blen, cout)
+    dwt = np.zeros(wt.shape) if want_w else None
+    # with one chunk, the weight gradient's spectra add up over the
+    # groups and go back to the taps once
+    dws_sum = np.zeros((2 * bins, plan.c * cout)) if want_w and len(plan.chunks) == 1 else None
+    dbuf = np.zeros(buf.shape) if want_x else None
+    dblocks = None if dbuf is None else dbuf.reshape(plan.blocks.shape)
+    for group in plan.groups:
+        i0, i1, j0, j1 = group
+        ni, nj = i1 - i0, j1 - j0
+        dp, dpv, dz = plan.products(group)
+        dz = dz[:ni * nj * 2 * bins * cout].reshape(ni, nj, bins, 2, cout)
+        np.matmul(plan.inv.T, g_segs[i0:i1, j0:j1], out=dz.reshape(ni, nj, 2 * bins, cout))
+        dpv[:, 0] = dz[:, 0]
+        _alternate(dz[:, 1:], dz[:, :-1], dpv[:, 1:-1])
+        dpv[:, -1, 0::2] = dz[:, -1, 0::2]
+        np.negative(dz[:, -1, 1::2], out=dpv[:, -1, 1::2])
+        for c0, w in plan.chunks:
+            ws = None if plan.w4 is not None else plan.weight_spectra(c0, w)
+            dws, dy = plan.multiply_grads(plan.spectra(group, c0, w), ws, dp, want_w, want_x)
+            if dws_sum is not None:
+                dws_sum += dws
+            elif dws is not None:
+                dwt[:, c0:c0 + w] += (plan.taps.T @ dws).reshape(k, w, cout)
+            if dy is not None:
+                dblocks[i0:i1, j0:j1 + 1, :, c0:c0 + w] += np.matmul(plan.half.T, dy)
+    if dws_sum is not None:
+        dwt[...] = (plan.taps.T @ dws_sum).reshape(k, plan.c, cout)
+    return dwt, dbuf
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
@@ -331,22 +503,24 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     only every s-th padded sample, so the buffer keeps only those and the
     conv runs at stride 1 and dilation d/s.
 
-    Where the buffer is read at stride 1 and dilation 1 at L = 1, with
-    k >= 33 and T' >= 4P per item (P = 2^ceil(log2(2k - 2)); see
-    ``_freq_segment_len``), the forward runs by overlap-save in the
-    frequency domain instead (see ``_freq_conv``). Its per-bin products
-    take about 4*C_in*C_out multiply-adds per output, against k*C_in*C_out
-    for the taps, and the transforms about P*(k*C_in*C_out/2048 + 2*C_in
-    + C_out), the first term for the weight's, redone per 2048 outputs:
-    1.8-3.3x faster at the paper-scale model's down2, up3 and up4, slower
-    on short inputs or kernels (the sweep is beside ``_FREQ_MIN_KERNEL``).
-    The choice follows the geometry alone, never the grad mode, so train
-    and eval forwards stay bit-equal.
+    Where the buffer is read at stride 1 and dilation 1, with k >= 17,
+    C_in >= 4 and T' >= max(4P, 256) per item (P = 2^ceil(log2(2k - 2));
+    see ``_freq_segment_len``), the conv runs by overlap-save in the
+    frequency domain instead, forward and backward, whatever L the taps
+    would take (see ``_FreqPlan``). Its per-bin products take about
+    4*C_in*C_out multiply-adds per output, against k*C_in*C_out for the
+    taps, and the transforms about P*(C_in + C_out) plus the weight's,
+    2*k*C_in*C_out per 2048 outputs (per call at C_in <= 64); the
+    backward does the adjoint of each step, and transforms the input
+    again. The sweep beside ``_FREQ_MIN_KERNEL`` has the layers it wins
+    and loses at. The choice follows the geometry alone, never the grad
+    mode, so train and eval forwards stay bit-equal.
 
-    The backward closure keeps the buffer and rebuilds the blocks. The
-    input gradient is G @ T_m^T, overlap-added at each tile shift;
-    dT_m = X[. + m]^T G, and the weight gradient sums the diagonals of
-    the band that the dT_m form. It is tap-major, like the weight.
+    The backward closure keeps the buffer. On the tap GEMMs it rebuilds
+    the blocks; the input gradient is G @ T_m^T, overlap-added at each
+    tile shift; dT_m = X[. + m]^T G, and the weight gradient sums the
+    diagonals of the band that the dT_m form. It is tap-major, like the
+    weight, on either path.
     """
     if x.ndim != 3:
         raise ShapeMismatch("conv1d", x.shape, ("N", "T", "C"))
@@ -376,57 +550,61 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     # keep every sub-th padded sample; s and d are then the buffer's
     sub = stride if p.dilation % stride == 0 else 1
     s, d = stride // sub, p.dilation // sub
-    tile = _tile_len(s * c, n * t_out)
-    step = tile * s                     # buffer samples per tile
-    if tile == 1:                       # a block per tap
-        width = 1
-        offsets = range(0, k * d, d)
-    else:
-        width = step
-        offsets = range(0, (tile - 1) * s + (k - 1) * d + 1, width)
-    n_tiles = -(-t_out // tile)
     first = -(-pad_l // sub)            # buffer index of the first kept sample
     x0 = first * sub - pad_l            # and its index in x
     kept = len(range(x0, t, sub))
-    # tiles per item: its n_tiles, then the ones that straddle into the next
-    per_item = max(n_tiles - 1 + -(-(offsets[-1] + width) // step),
-                   -(-(first + kept) // step))
-    rows = max(0, (n - 1) * per_item + n_tiles)
-    buf = np.zeros((n, per_item * step, c))
-    buf[:, first:first + kept] = x.data[:, x0::sub]
-
-    def windows(a):
-        # (offsets[-1] + 1, rows, width*C) view of a buffer-shaped array:
-        # [o, i] holds the width samples from i*step + o on
-        isz = a.itemsize
-        return as_strided(a, (offsets[-1] + 1, rows, width * c),
-                          (c * isz, step * c * isz, isz))
-
     w, b = p.weight, p.bias
     # (k, C, C_out): a view of a tap-major weight, one copy of a row-major one
     wt = np.ascontiguousarray(w.data.T)
 
-    def diagonals(band):
-        # (k, L, C, C_out) view of a (M*width, C, L, C_out) band: [j, l] is
-        # where output l of a tile meets tap j, at sample l*s + j*d
-        bp, bc, bl, bo = band.strides
-        return as_strided(band, (k, tile, c, cout), (d * bp, s * bp + bl, bc, bo))
-
-    def blocks():
-        # (M, width*C, L*C_out): the taps when L = 1, else the banded
-        # Toeplitz blocks, rebuilt by the backward rather than kept
-        if tile == 1:
-            return wt
-        band = np.zeros((len(offsets) * width, c, tile, cout))
-        diagonals(band)[...] = wt[:, None]
-        return band.reshape(len(offsets), width * c, tile * cout)
-
-    xw = windows(buf)
-    seg = _freq_segment_len(k, tile, s, d, t_out)
+    seg = _freq_segment_len(k, c, s, d, t_out)
     if seg:
+        # whole segments: n_seg + 1 half-blocks of seg/2 samples per item,
+        # which hold the t_out + k - 1 samples the outputs read
+        buf = np.zeros((n, (-(-t_out // (seg // 2)) + 1) * (seg // 2), c))
+        buf[:, first:first + kept] = x.data[:, x0::sub]
         out = _freq_conv(buf, wt, t_out, seg)
         out += b.data
     else:
+        tile = _tile_len(s * c, n * t_out)
+        step = tile * s                     # buffer samples per tile
+        if tile == 1:                       # a block per tap
+            width = 1
+            offsets = range(0, k * d, d)
+        else:
+            width = step
+            offsets = range(0, (tile - 1) * s + (k - 1) * d + 1, width)
+        n_tiles = -(-t_out // tile)
+        # tiles per item: its n_tiles, then the ones that straddle into the next
+        per_item = max(n_tiles - 1 + -(-(offsets[-1] + width) // step),
+                       -(-(first + kept) // step))
+        rows = max(0, (n - 1) * per_item + n_tiles)
+        buf = np.zeros((n, per_item * step, c))
+        buf[:, first:first + kept] = x.data[:, x0::sub]
+
+        def windows(a):
+            # (offsets[-1] + 1, rows, width*C) view of a buffer-shaped array:
+            # [o, i] holds the width samples from i*step + o on
+            isz = a.itemsize
+            return as_strided(a, (offsets[-1] + 1, rows, width * c),
+                              (c * isz, step * c * isz, isz))
+
+        def diagonals(band):
+            # (k, L, C, C_out) view of a (M*width, C, L, C_out) band: [j, l] is
+            # where output l of a tile meets tap j, at sample l*s + j*d
+            bp, bc, bl, bo = band.strides
+            return as_strided(band, (k, tile, c, cout), (d * bp, s * bp + bl, bc, bo))
+
+        def blocks():
+            # (M, width*C, L*C_out): the taps when L = 1, else the banded
+            # Toeplitz blocks, rebuilt by the backward rather than kept
+            if tile == 1:
+                return wt
+            band = np.zeros((len(offsets) * width, c, tile, cout))
+            diagonals(band)[...] = wt[:, None]
+            return band.reshape(len(offsets), width * c, tile * cout)
+
+        xw = windows(buf)
         blks = blocks()
         y = np.empty((n * per_item, tile * cout))
         head = y[:rows]
@@ -435,25 +613,36 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
             head += xw[o] @ blk
         out = y.reshape(n, per_item * tile, cout)[:, :t_out] + b.data
 
-    def backward(g_out):
-        if b.requires_grad:
-            b.accumulate_grad(g_out.sum(axis=(0, 1)))
+    def tap_grads(g_out):
+        # the direct path's (dw, dbuf), None where not wanted
         dy = np.zeros((n, per_item * tile, cout))
         dy[:, :t_out] = g_out
         dy = dy.reshape(n * per_item, tile * cout)[:rows]
         blks = blocks()
+        dw = dbuf = None
         if w.requires_grad:
             dw = np.empty(blks.shape)
             for o, dblk in zip(offsets, dw):
                 np.matmul(xw[o].T, dy, out=dblk)
             if tile > 1:    # tap j sums its L diagonal entries
                 dw = diagonals(dw.reshape(len(offsets) * width, c, tile, cout)).sum(axis=1)
-            w.accumulate_grad(dw.T)         # tap-major, like the weight
         if x.requires_grad:
             dbuf = np.zeros_like(buf)
             dxw = windows(dbuf)
             for o, blk in zip(offsets, blks):
                 dxw[o] += dy @ blk.T
+        return dw, dbuf
+
+    def backward(g_out):
+        if b.requires_grad:
+            b.accumulate_grad(g_out.sum(axis=(0, 1)))
+        if seg:
+            dw, dbuf = _freq_conv_grads(buf, wt, g_out, seg, w.requires_grad, x.requires_grad)
+        else:
+            dw, dbuf = tap_grads(g_out)
+        if dw is not None:
+            w.accumulate_grad(dw.T)         # tap-major, like the weight
+        if dbuf is not None:
             dx = dbuf[:, first:first + kept]
             if sub > 1:     # spread the kept samples back over x
                 dx, kept_dx = np.zeros(x.shape), dx

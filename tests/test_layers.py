@@ -51,7 +51,8 @@ def _naive_conv(x, w, b, stride, dilation, padding):
 
 
 def _naive_conv_grads(x, w, stride, dilation, padding, g):
-    """Gradients of sum(g * conv(x)) by the loops of _naive_conv."""
+    """Gradients of sum(g * conv(x)) by the loops of _naive_conv, each
+    step over all items at once."""
     n, t, cin = x.shape
     cout, _, k = w.shape
     k_eff = (k - 1) * dilation + 1
@@ -60,12 +61,11 @@ def _naive_conv_grads(x, w, stride, dilation, padding, g):
     xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
-    for nn in range(n):
-        for ti in range(g.shape[1]):
-            for j in range(k):
-                pos = ti * stride + j * dilation
-                dw[:, :, j] += np.outer(g[nn, ti], xp[nn, pos])
-                dxp[nn, pos] += w[:, :, j].T @ g[nn, ti]
+    for ti in range(g.shape[1]):
+        for j in range(k):
+            pos = ti * stride + j * dilation
+            dw[:, :, j] += g[:, ti].T @ xp[:, pos]
+            dxp[:, pos] += g[:, ti] @ w[:, :, j]
     return dxp[:, left:left + t], dw, g.sum(axis=(0, 1))
 
 
@@ -208,6 +208,21 @@ def _direct_conv1d(x, p, monkeypatch):
         return conv1d(x, p)
 
 
+def _freq_buffer(x, k, seg):
+    """The buffer conv1d pads for a "same" conv on the frequency path:
+    (k - 1) // 2 zeros on the left, then zeros up to n_seg + 1 half-blocks
+    of seg/2 samples."""
+    n, t, c = x.shape
+    blen = seg // 2
+    buf = np.zeros((n, (-(-t // blen) + 1) * blen, c))
+    buf[:, (k - 1) // 2:(k - 1) // 2 + t] = x
+    return buf
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 @pytest.mark.parametrize("n,t,cin,cout,k", [
     pytest.param(1, 2048, 70, 4, 65, id="n1-k65-whole-segments"),
     # 34 segments of 32 and a ragged 35th; 130 input channels are two
@@ -215,7 +230,7 @@ def _direct_conv1d(x, p, monkeypatch):
     pytest.param(3, 1100, 130, 5, 33, id="n3-k33-ragged"),
     # 66 segments of 64 in 3 groups, the last segment ragged
     pytest.param(1, 4200, 66, 3, 65, id="n1-k65-groups"),
-    # one segment, shorter than its 64 samples
+    # one segment, shorter than its 32 outputs
     pytest.param(3, 20, 65, 2, 33, id="n3-k33-one-short-segment"),
 ])
 def test_freq_conv_matches_direct(n, t, cin, cout, k, monkeypatch):
@@ -224,32 +239,42 @@ def test_freq_conv_matches_direct(n, t, cin, cout, k, monkeypatch):
     p = init_conv_params(cout, cin, k, rng)
     p.bias.data = rng.normal(size=cout)
     seg = 1 << (2 * k - 3).bit_length()
-    # the buffer conv1d pads for "same": (k - 1) // 2 zeros on the left
-    pad = (k - 1) // 2
-    buf = np.zeros((n, t + k - 1, cin))
-    buf[:, pad:pad + t] = x.data
-    got = layers._freq_conv(buf, p.weight.data.T, t, seg)
+    got = layers._freq_conv(_freq_buffer(x.data, k, seg), p.weight.data.T, t, seg)
     want = _direct_conv1d(x, p, monkeypatch).data - p.bias.data
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got.shape == want.shape
+    assert _rel_err(got, want) <= 1e-12
+
+
+def _max_traced(f):
+    """f()'s result and the peak of memory it allocated, over what was
+    allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_freq_conv_scratch_does_not_grow_with_length():
     # segments go in groups of 2048 outputs, so 4x the outputs take the
-    # same scratch on top of the output
+    # same scratch on top of the output, in the forward and the backward,
+    # with the real form on the input (80 channels, two chunks) or on the
+    # weight (16 channels, one chunk)
     rng = RNG()
-    wt = rng.normal(size=(33, 80, 16))
-    scratch = []
-    for t in (4096, 16384):
-        buf = rng.normal(size=(1, t + 32, 80))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = layers._freq_conv(buf, wt, t, 64)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        scratch.append(peak - out.nbytes)
-    assert abs(scratch[1] - scratch[0]) <= 16384
+    for cin in (80, 16):
+        wt = rng.normal(size=(33, cin, 16))
+        scratch = []
+        for t in (4096, 16384):
+            buf = rng.normal(size=(1, t + 32, cin))
+            g = rng.normal(size=(1, t, 16))
+            out, peak = _max_traced(lambda: layers._freq_conv(buf, wt, t, 64))
+            (dwt, dbuf), peak_grads = _max_traced(
+                lambda: layers._freq_conv_grads(buf, wt, g, 64))
+            scratch.append((peak - out.nbytes, peak_grads - dwt.nbytes - dbuf.nbytes))
+        for small, large in zip(*scratch):
+            assert abs(large - small) <= 16384, (cin, scratch)
 
 
 def _spy_freq(monkeypatch):
@@ -266,31 +291,47 @@ def _spy_freq(monkeypatch):
 
 
 def test_freq_conv_of_zero_weights_is_exactly_zero(monkeypatch):
-    # the identity at init rests on zero weights giving zero outputs
+    # the identity at init rests on zero weights giving zero outputs, and
+    # zero input gradients, with the real form on either side
     rng = RNG()
-    buf = rng.normal(size=(2, 1100 + 32, 70))
-    assert not layers._freq_conv(buf, np.zeros((33, 70, 6)), 1100, 64).any()
-    p = init_conv_params(6, 70, 33, rng, zero=True)
-    p.bias.data = np.arange(6.0)
-    calls = _spy_freq(monkeypatch)
-    out = conv1d(Tensor(buf[:, :1024]), p)
-    assert calls == [(33, 70, 6, 1024)]
-    assert np.array_equal(out.data, np.broadcast_to(np.arange(6.0), out.shape))
+    for cin in (70, 8):
+        buf = rng.normal(size=(2, 1024 + 32, cin))
+        assert not layers._freq_conv(buf, np.zeros((33, cin, 6)), 1024, 64).any()
+        p = init_conv_params(6, cin, 33, rng, zero=True)
+        p.bias.data = np.arange(6.0)
+        calls = _spy_freq(monkeypatch)
+        x = Tensor(buf[:, :1024], requires_grad=True)
+        out = conv1d(x, p)
+        assert calls == [(33, cin, 6, 1024)]
+        assert np.array_equal(out.data, np.broadcast_to(np.arange(6.0), out.shape))
+        (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        assert not x.grad.any()
+        assert p.weight.grad.any()
 
 
-@pytest.mark.parametrize("stride,dilation,k,t", [
-    pytest.param(1, 1, 65, 512, id="s1-k65-at-4P"),
+@pytest.mark.parametrize("n,t,cin,cout,k,stride,dilation", [
+    pytest.param(2, 512, 80, 7, 65, 1, 1, id="s1-k65-at-4P"),
     # the down convs' stride 2 at dilation 2: a stride-1 read of the kept
     # samples, as at down2 of the paper-scale model
-    pytest.param(2, 2, 33, 1030, id="down2-like-kept-samples"),
+    pytest.param(2, 1030, 80, 7, 33, 2, 2, id="down2-like-kept-samples"),
+    # a ragged last segment of each of 3 items (1100 = 34*32 + 12)
+    pytest.param(3, 1100, 20, 5, 33, 1, 1, id="n3-ragged"),
+    # 130 input channels: two whole chunks of 64 and a ragged third
+    pytest.param(2, 300, 130, 3, 33, 1, 1, id="cin130-chunks"),
+    # k 17: 263 segments of 16 outputs in 3 groups (128, 128 and 7), at
+    # one chunk and at two
+    pytest.param(1, 4200, 6, 3, 17, 1, 1, id="groups-one-chunk"),
+    pytest.param(1, 4200, 66, 3, 17, 1, 1, id="groups-two-chunks"),
+    # up2 of the super-resolution model in a training batch
+    pytest.param(16, 512, 24, 16, 65, 1, 1, id="sr-up2-n16"),
 ])
-def test_conv1d_frequency_path_matches_direct_with_direct_gradients(
-        stride, dilation, k, t, monkeypatch):
+def test_conv1d_frequency_path_matches_naive_and_direct(
+        n, t, cin, cout, k, stride, dilation, monkeypatch):
     rng = RNG()
-    x = Tensor(rng.normal(size=(2, t, 80)), requires_grad=True)
-    p = init_conv_params(7, 80, k, rng, stride=stride, dilation=dilation)
-    p.bias.data = rng.normal(size=7)
-    g = rng.normal(size=(2, -(-t // stride), 7))
+    x = Tensor(rng.normal(size=(n, t, cin)), requires_grad=True)
+    p = init_conv_params(cout, cin, k, rng, stride=stride, dilation=dilation)
+    p.bias.data = rng.normal(size=cout)
+    g = rng.normal(size=(n, -(-t // stride), cout))
     calls = _spy_freq(monkeypatch)
     results = []
     for conv in (conv1d, lambda x, p: _direct_conv1d(x, p, monkeypatch)):
@@ -298,22 +339,53 @@ def test_conv1d_frequency_path_matches_direct_with_direct_gradients(
         out = conv(x, p)
         (out * Tensor(g)).sum().backward()
         results.append((out.data, x.grad, p.weight.grad, p.bias.grad))
-    assert calls == [(k, 80, 7, g.shape[1])]
+    assert calls == [(k, cin, cout, g.shape[1])]
     (y, *grads), (y_direct, *grads_direct) = results
-    assert np.abs(y - y_direct).max() <= 1e-12 * np.abs(y_direct).max()
-    # the backward is the direct one, whichever forward ran
-    for a, b in zip(grads, grads_direct):
-        assert np.array_equal(a, b)
+    assert _rel_err(y, y_direct) <= 1e-12
+    naive = _naive_conv_grads(x.data, p.weight.data, stride, dilation, "same", g)
+    for got, direct, want in zip(grads, grads_direct, naive):
+        assert _rel_err(got, want) <= 1e-12
+        assert _rel_err(got, direct) <= 1e-12
+    # tap-major, like the weight
+    assert p.weight.grad.flags.f_contiguous
+
+
+def test_conv1d_frequency_path_batch_equals_items(monkeypatch):
+    # the items of a batch share the segment groups (4 items of 8
+    # segments each here) but not their outputs or input gradients
+    rng = RNG()
+    x = rng.normal(size=(6, 512, 12))
+    p = init_conv_params(5, 12, 65, rng)
+    g = rng.normal(size=(6, 512, 5))
+    calls = _spy_freq(monkeypatch)
+    per_item = []
+    for xs, gs in [(x, g)] + [(x[i:i + 1], g[i:i + 1]) for i in range(6)]:
+        xt = Tensor(xs, requires_grad=True)
+        p.weight.grad = p.bias.grad = None
+        out = conv1d(xt, p)
+        (out * Tensor(gs)).sum().backward()
+        per_item.append((out.data, xt.grad, p.weight.grad))
+    assert len(calls) == 7
+    (y, dx, dw), items = per_item[0], per_item[1:]
+    assert _rel_err(y, np.concatenate([r[0] for r in items])) <= 1e-12
+    assert _rel_err(dx, np.concatenate([r[1] for r in items])) <= 1e-12
+    assert _rel_err(dw, sum(r[2] for r in items)) <= 1e-12
 
 
 def test_frequency_path_needs_long_kernels_and_outputs():
-    # P = 64 at k 33 and 128 at k 65; T' from 4P on
-    assert layers._freq_segment_len(33, 1, 1, 1, 256) == 64
-    assert layers._freq_segment_len(65, 1, 1, 1, 512) == 128
-    assert layers._freq_segment_len(65, 1, 1, 1, 511) == 0
-    assert layers._freq_segment_len(17, 1, 1, 1, 4096) == 0
-    for tile, s, d in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
-        assert layers._freq_segment_len(65, tile, s, d, 4096) == 0
+    # P = 32 at k 17, 64 at k 33 and 128 at k 65; T' from max(4P, 256) on
+    assert layers._freq_segment_len(33, 16, 1, 1, 256) == 64
+    assert layers._freq_segment_len(33, 16, 1, 1, 255) == 0
+    assert layers._freq_segment_len(65, 16, 1, 1, 512) == 128
+    assert layers._freq_segment_len(65, 16, 1, 1, 511) == 0
+    assert layers._freq_segment_len(17, 16, 1, 1, 256) == 32
+    assert layers._freq_segment_len(17, 16, 1, 1, 255) == 0
+    assert layers._freq_segment_len(9, 512, 1, 1, 4096) == 0
+    # from 4 input channels on
+    assert layers._freq_segment_len(65, 4, 1, 1, 4096) == 128
+    assert layers._freq_segment_len(65, 3, 1, 1, 4096) == 0
+    for s, d in ((2, 1), (1, 2)):
+        assert layers._freq_segment_len(65, 16, s, d, 4096) == 0
 
 
 def test_conv1d_same_stride1_preserves_length():

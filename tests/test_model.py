@@ -519,20 +519,25 @@ def test_eval_forward_is_bit_equal_to_train_on_the_frequency_path(monkeypatch):
     assert len(calls) == 2
 
 
-def test_frequency_path_runs_only_the_long_paper_scale_convs(monkeypatch):
+def test_frequency_path_runs_the_long_convs_over_long_inputs(monkeypatch):
     calls = _spy_freq(monkeypatch)
-    # the SR and imputation configs: every conv is tiled (L > 1)
-    for cfg in (SR, ModelConfig(depth=2, input_channels=2, patch_length=512,
-                                max_filters=16, tfilm_blocks=16)):
-        build_model(cfg, seed=0).forward(
-            Tensor(np.zeros((1, cfg.patch_length, cfg.input_channels))))
+    # the SR config: down2 on its kept samples, up1 and up2; down1 has one
+    # input channel and the rest k 9
+    build_model(SR, seed=0).forward(Tensor(np.zeros((1, 2048, 1))))
+    assert calls == [(33, 16, 16, 512), (33, 16, 16, 256), (65, 24, 16, 512)]
+    # the imputation config: every output run is too short
+    calls.clear()
+    cfg = ModelConfig(depth=2, input_channels=2, patch_length=512, max_filters=16,
+                      tfilm_blocks=16)
+    build_model(cfg, seed=0).forward(Tensor(np.zeros((1, 512, 2))))
     assert calls == []
-    # the paper-scale K=4 model at T=8192: down2 on its kept samples, up3
-    # and up4 (k 33, 33 and 65 at C_in 128, 768 and 512); down1 runs at
-    # L = 32 and the rest have k <= 17
+    # the paper-scale K=4 model at T=8192: every conv but down1 (one
+    # input channel) and the k 9 ones
+    calls.clear()
     cfg = ModelConfig()
     build_model(cfg, seed=0).forward(Tensor(np.zeros((1, cfg.patch_length, 1))))
-    assert calls == [(33, 128, 256, 2048), (33, 768, 512, 1024), (65, 512, 256, 2048)]
+    assert calls == [(33, 128, 256, 2048), (17, 256, 512, 1024), (17, 768, 512, 512),
+                     (33, 768, 512, 1024), (65, 512, 256, 2048)]
 
 
 def test_eval_forward_records_no_tape():
