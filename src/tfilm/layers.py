@@ -170,10 +170,10 @@ def _tile_len(cols, rows):
 
 # The frequency path (see _FreqPlan) takes the buffer reads at stride 1
 # and dilation 1 with k >= _FREQ_MIN_KERNEL, C_in >= _FREQ_MIN_CHANNELS
-# and T' >= max(_FREQ_MIN_SPAN * P, _FREQ_MIN_OUTPUTS) outputs per item,
-# at any tile length L and batch size. It transforms the weight
-# _FREQ_CHANNELS input channels at a time and the segments _FREQ_GROUP
-# outputs at a time, so no temporary grows with T'. Measured on 2 cores
+# and T' >= _FREQ_MIN_OUTPUTS outputs per item, at any tile length L and
+# batch size. It transforms the weight _FREQ_CHANNELS input channels at a
+# time and the segments _FREQ_GROUP outputs at a time, so no temporary
+# grows with T'. Measured on 2 cores
 # with OpenBLAS 0.3.31, medians of 7-9 alternating runs, direct GEMMs ->
 # frequency path in ms:
 # - Forward and backward at N=16, C_out 16 (the SR model's geometry):
@@ -190,18 +190,22 @@ def _tile_len(cols, rows):
 #   23 -> 29, 256: 34 -> 36, 512 (up2): 68 -> 48; C 256 -> 512 (down3,
 #   T' 1024): 49 -> 36, forward and backward 275 -> 163. k 9, C 512 ->
 #   512, T' 512: 31 -> 32.
-# So k 33 and 65 win from T' = 2P on at these widths (the forward-only
-# path this replaced lost at 2P at up3's width, 42 -> 63 ms at T' 128,
-# so the span stays 4P), k 17 breaks even at T' = 256 and wins from 512
-# on, and k 9 and inputs of 1 to 3 channels (where the taps run wide
-# tiles) lose. Past one chunk the product's real form goes on the input
-# side (see _FreqPlan): with the weight taking it, up3 and up4 ran about
-# 1.6x slower. Chunks of 32, 64 and 128 input channels took 164 / 149 /
-# 166 ms at up3; with groups of 1024, 2048 and 8192 outputs the SR
-# training step ran 1.28x, 1.28x and 1.24x faster than on the tap GEMMs.
+# So k 33 and 65 win from T' = 2P on at these widths (2P is 128 at
+# k 33, where up3's width still loses at N=1: 41 -> 65; k 65 at N=1,
+# C 512 -> 256, T' 384: 70 -> 59), k 17 breaks even at T' = 256 and wins
+# from 512 on, and k 9 and inputs of 1 to 3 channels (where the taps run
+# wide tiles) lose. The product's real form goes on the weight at one
+# input-channel chunk and on the input past that (see _FreqPlan). At one
+# chunk the input form took the SR model's down2 / up1 / up2 (forward
+# and backward) from 5.1 / 2.6 / 9.0 to 6.6 / 3.4 / 14.2, and its
+# training step from 53.5 to 59.4 (slower in 18 of 20 alternating runs);
+# past one chunk, with the weight taking it per group and chunk, up3 and
+# up4 ran about 1.6x slower. Chunks of 32, 64 and 128 input channels
+# took 164 / 149 / 166 ms at up3; with groups of 1024, 2048 and 8192
+# outputs the SR training step ran 1.28x, 1.28x and 1.24x faster than on
+# the tap GEMMs.
 _FREQ_MIN_KERNEL = 17
 _FREQ_MIN_CHANNELS = 4
-_FREQ_MIN_SPAN = 4
 _FREQ_MIN_OUTPUTS = 256
 _FREQ_CHANNELS = 64
 _FREQ_GROUP = 2048
@@ -211,10 +215,10 @@ def _freq_segment_len(k, c, s, d, t_out):
     """Padded segment length P of the frequency path, or 0 where the
     direct GEMMs run: P = 2^ceil(log2(2k - 2)), so that the first P/2
     outputs of each segment are exact."""
-    if s != 1 or d != 1 or k < _FREQ_MIN_KERNEL or c < _FREQ_MIN_CHANNELS:
+    if (s != 1 or d != 1 or k < _FREQ_MIN_KERNEL or c < _FREQ_MIN_CHANNELS
+            or t_out < _FREQ_MIN_OUTPUTS):
         return 0
-    seg = 1 << (2 * k - 3).bit_length()
-    return seg if t_out >= max(_FREQ_MIN_SPAN * seg, _FREQ_MIN_OUTPUTS) else 0
+    return 1 << (2 * k - 3).bit_length()
 
 
 @functools.lru_cache(maxsize=32)
@@ -283,9 +287,11 @@ class _FreqPlan:
 
     The first copies the weight's spectra into 4*F*C*C_out entries, the
     second each half-block's into 2*F*C. With one input-channel chunk
-    the weight takes the first, once per call. With several it would
-    take it per group and chunk, which costs more than the input's copies
-    at every paper-scale layer, so the input takes the second.
+    the weight takes the first, once per call, which ran faster than the
+    second at the SR model's layers. With several it would take it per
+    group and chunk, which costs more than the input's copies at every
+    paper-scale layer, so the input takes the second. The sweep beside
+    ``_FREQ_MIN_KERNEL`` has both measurements.
 
     Segment g's product is Z_g = P_g + (-1)^f * P_{g+1}, so each
     half-block is transformed and multiplied once, not twice.
@@ -436,22 +442,22 @@ def _freq_conv(buf, wt, t_out, seg):
 def _freq_conv_grads(buf, wt, g_out, seg, want_w=True, want_x=True):
     """Gradients (dwt, dbuf) of sum(g_out * _freq_conv(buf, wt, t_out,
     seg)), the exact adjoint of its steps; either is None where not
-    wanted. Per group, dZ = inv^T g and dP_j = dZ_j + (-1)^f dZ_{j-1};
-    per chunk, with the half-blocks' spectra recomputed from ``buf``, the
-    adjoint of the product (:meth:`_FreqPlan.multiply_grads`) gives
-    [dWr; dWi], taken back to the taps by taps^T, and d[Yr, Yi], taken
-    back to the samples by half^T.
+    wanted. Per group, dZ = inv^T g (a ragged last segment against the
+    first rows of inv only) and dP_j = dZ_j + (-1)^f dZ_{j-1}; per chunk,
+    with the half-blocks' spectra recomputed from ``buf``, the adjoint of
+    the product (:meth:`_FreqPlan.multiply_grads`) gives [dWr; dWi],
+    taken back to the taps by taps^T, and d[Yr, Yi], taken back to the
+    samples by half^T.
     """
     plan = _FreqPlan(buf, wt, seg)
     n, blen, cout, bins, k = plan.n, plan.blen, plan.cout, plan.bins, plan.k
     t_out = g_out.shape[1]
-    if t_out != plan.n_seg * blen:
-        g, g_out = g_out, np.zeros((n, plan.n_seg * blen, cout))
-        g_out[:, :t_out] = g
-    g_segs = g_out.reshape(n, plan.n_seg, blen, cout)
+    whole, ragged = divmod(t_out, blen)     # whole segments, ragged outputs
+    g_segs = g_out[:, :whole * blen].reshape(n, whole, blen, cout)
     dwt = np.zeros(wt.shape) if want_w else None
     # with one chunk, the weight gradient's spectra add up over the
-    # groups and go back to the taps once
+    # groups and go back to the taps once (a taps^T GEMM per group made
+    # the SR training step about 2% slower)
     dws_sum = np.zeros((2 * bins, plan.c * cout)) if want_w and len(plan.chunks) == 1 else None
     dbuf = np.zeros(buf.shape) if want_x else None
     dblocks = None if dbuf is None else dbuf.reshape(plan.blocks.shape)
@@ -460,7 +466,11 @@ def _freq_conv_grads(buf, wt, g_out, seg, want_w=True, want_x=True):
         ni, nj = i1 - i0, j1 - j0
         dp, dpv, dz = plan.products(group)
         dz = dz[:ni * nj * 2 * bins * cout].reshape(ni, nj, bins, 2, cout)
-        np.matmul(plan.inv.T, g_segs[i0:i1, j0:j1], out=dz.reshape(ni, nj, 2 * bins, cout))
+        dz_rows = dz.reshape(ni, nj, 2 * bins, cout)
+        jw = min(j1, whole)
+        np.matmul(plan.inv.T, g_segs[i0:i1, j0:jw], out=dz_rows[:, :jw - j0])
+        if jw < j1:
+            np.matmul(plan.inv[:ragged].T, g_out[i0:i1, whole * blen:], out=dz_rows[:, -1])
         dpv[:, 0] = dz[:, 0]
         _alternate(dz[:, 1:], dz[:, :-1], dpv[:, 1:-1])
         dpv[:, -1, 0::2] = dz[:, -1, 0::2]
@@ -504,17 +514,17 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     conv runs at stride 1 and dilation d/s.
 
     Where the buffer is read at stride 1 and dilation 1, with k >= 17,
-    C_in >= 4 and T' >= max(4P, 256) per item (P = 2^ceil(log2(2k - 2));
-    see ``_freq_segment_len``), the conv runs by overlap-save in the
-    frequency domain instead, forward and backward, whatever L the taps
-    would take (see ``_FreqPlan``). Its per-bin products take about
-    4*C_in*C_out multiply-adds per output, against k*C_in*C_out for the
-    taps, and the transforms about P*(C_in + C_out) plus the weight's,
-    2*k*C_in*C_out per 2048 outputs (per call at C_in <= 64); the
-    backward does the adjoint of each step, and transforms the input
-    again. The sweep beside ``_FREQ_MIN_KERNEL`` has the layers it wins
-    and loses at. The choice follows the geometry alone, never the grad
-    mode, so train and eval forwards stay bit-equal.
+    C_in >= 4 and T' >= 256 per item (see ``_freq_segment_len``), the
+    conv runs by overlap-save in the frequency domain instead, forward
+    and backward, whatever L the taps would take (see ``_FreqPlan``). Its
+    per-bin products take about 4*C_in*C_out multiply-adds per output,
+    against k*C_in*C_out for the taps, and the transforms about
+    P*(C_in + C_out) plus the weight's, 2*k*C_in*C_out per 2048 outputs
+    (per call at C_in <= 64); the backward does the adjoint of each step,
+    and transforms the input again. The sweep beside ``_FREQ_MIN_KERNEL``
+    has the layers it wins and loses at. The choice follows the geometry
+    alone, never the grad mode, so train and eval forwards stay
+    bit-equal.
 
     The backward closure keeps the buffer. On the tap GEMMs it rebuilds
     the blocks; the input gradient is G @ T_m^T, overlap-added at each

@@ -204,7 +204,7 @@ def test_conv1d_wide_input_holds_no_weight_copy(stride, dilation):
 def _direct_conv1d(x, p, monkeypatch):
     """conv1d with the frequency path switched off."""
     with monkeypatch.context() as m:
-        m.setattr(layers, "_FREQ_MIN_SPAN", 10**9)
+        m.setattr(layers, "_FREQ_MIN_OUTPUTS", 10**9)
         return conv1d(x, p)
 
 
@@ -261,20 +261,23 @@ def test_freq_conv_scratch_does_not_grow_with_length():
     # segments go in groups of 2048 outputs, so 4x the outputs take the
     # same scratch on top of the output, in the forward and the backward,
     # with the real form on the input (80 channels, two chunks) or on the
-    # weight (16 channels, one chunk)
+    # weight (16 channels, one chunk), with whole segments of 32 outputs
+    # or a ragged last one
     rng = RNG()
     for cin in (80, 16):
         wt = rng.normal(size=(33, cin, 16))
-        scratch = []
-        for t in (4096, 16384):
-            buf = rng.normal(size=(1, t + 32, cin))
-            g = rng.normal(size=(1, t, 16))
-            out, peak = _max_traced(lambda: layers._freq_conv(buf, wt, t, 64))
-            (dwt, dbuf), peak_grads = _max_traced(
-                lambda: layers._freq_conv_grads(buf, wt, g, 64))
-            scratch.append((peak - out.nbytes, peak_grads - dwt.nbytes - dbuf.nbytes))
-        for small, large in zip(*scratch):
-            assert abs(large - small) <= 16384, (cin, scratch)
+        for lengths in ((4096, 16384), (4100, 16388)):
+            scratch = []
+            for t in lengths:
+                buf = rng.normal(size=(1, (-(-t // 32) + 1) * 32, cin))
+                g = rng.normal(size=(1, t, 16))
+                out, peak = _max_traced(lambda: layers._freq_conv(buf, wt, t, 64))
+                (dwt, dbuf), peak_grads = _max_traced(
+                    lambda: layers._freq_conv_grads(buf, wt, g, 64))
+                scratch.append((peak - out.base.nbytes,
+                                peak_grads - dwt.nbytes - dbuf.nbytes))
+            for small, large in zip(*scratch):
+                assert abs(large - small) <= 16384, (cin, lengths, scratch)
 
 
 def _spy_freq(monkeypatch):
@@ -373,11 +376,11 @@ def test_conv1d_frequency_path_batch_equals_items(monkeypatch):
 
 
 def test_frequency_path_needs_long_kernels_and_outputs():
-    # P = 32 at k 17, 64 at k 33 and 128 at k 65; T' from max(4P, 256) on
+    # P = 32 at k 17, 64 at k 33 and 128 at k 65; T' from 256 on
     assert layers._freq_segment_len(33, 16, 1, 1, 256) == 64
     assert layers._freq_segment_len(33, 16, 1, 1, 255) == 0
-    assert layers._freq_segment_len(65, 16, 1, 1, 512) == 128
-    assert layers._freq_segment_len(65, 16, 1, 1, 511) == 0
+    assert layers._freq_segment_len(65, 16, 1, 1, 256) == 128
+    assert layers._freq_segment_len(65, 16, 1, 1, 255) == 0
     assert layers._freq_segment_len(17, 16, 1, 1, 256) == 32
     assert layers._freq_segment_len(17, 16, 1, 1, 255) == 0
     assert layers._freq_segment_len(9, 512, 1, 1, 4096) == 0
