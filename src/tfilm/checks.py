@@ -40,12 +40,12 @@ def _layer_checks(results, tol, h):
     rng = np.random.default_rng(20240817)
 
     x = Tensor(rng.normal(size=(2, 16, 3)), requires_grad=True, name="x")
-    p = init_conv_params(4, 3, 5, rng, stride=1, padding="valid")
-    _check("conv1d.valid", lambda ps: _sq(conv1d(ps[0], p)),
+    p = init_conv_params(4, 3, 5, rng)
+    _check("conv1d.same", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h)
 
     x = Tensor(rng.normal(size=(2, 20, 3)), requires_grad=True, name="x")
-    p = init_conv_params(4, 3, 5, rng, stride=2, dilation=2, padding="same")
+    p = init_conv_params(4, 3, 5, rng, stride=2, dilation=2)
     _check("conv1d.stride2.dilation2", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h)
 
@@ -53,14 +53,14 @@ def _layer_checks(results, tol, h):
     # keeps every other padded sample and spans 2 band blocks; the input is
     # spot-checked on a seeded subset of coordinates
     x = Tensor(rng.normal(size=(2, 256, 24)), requires_grad=True, name="x")
-    p = init_conv_params(2, 24, 5, rng, stride=2, dilation=2, padding="same")
+    p = init_conv_params(2, 24, 5, rng, stride=2, dilation=2)
     _check("conv1d.taps", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h, max_coords=60)
 
     # the bottleneck's stride 2 at dilation 1, read through 16-sample rows:
     # 257 outputs in tiles of 8, the last one ragged
     x = Tensor(rng.normal(size=(2, 514, 2)), requires_grad=True, name="x")
-    p = init_conv_params(4, 2, 9, rng, stride=2, dilation=1, padding="same")
+    p = init_conv_params(4, 2, 9, rng, stride=2, dilation=1)
     _check("conv1d.tiles", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h, max_coords=60)
 

@@ -43,15 +43,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
-_USAGE_ERRORS = (ValueError, errors.InvalidRate, errors.InvalidSpec,
-                 errors.ConfigInvariantViolation)
-_DATA_ERRORS = (OSError, json.JSONDecodeError, errors.BadMagic,
-                errors.BadCheckpointConfig,
-                errors.TruncatedFile, errors.UnsupportedWavEncoding,
-                errors.EmptyDataset, errors.PatchTooLong, errors.TooShort,
-                errors.LengthMismatch, errors.LengthInvariantViolation,
-                errors.ShapeMismatch, errors.ChannelMismatch)
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract wants 1
@@ -181,7 +172,7 @@ def _load_dir_pairs(data_dir, r):
     files = sorted(p for p in Path(data_dir).iterdir()
                    if p.suffix in (".raw", ".wav", ".csv"))
     if not files:
-        raise errors.EmptyDataset(f"no signal files in {data_dir}")
+        raise FileNotFoundError(f"no signal files in {data_dir}")
     return [make_pairs(_read_signal(f), r) for f in files]
 
 
@@ -355,11 +346,12 @@ def main(argv=None):
     try:
         _set_threads(args.threads)
         return args.func(args)
-    # data first: json.JSONDecodeError is in both, as a ValueError
-    except _DATA_ERRORS as exc:
+    # each error's class picks its exit code (see errors); data first, as
+    # json.JSONDecodeError is a ValueError too
+    except (OSError, json.JSONDecodeError, errors.DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _USAGE_ERRORS as exc:
+    except (ValueError, errors.UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except errors.TfilmError as exc:

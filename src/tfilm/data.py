@@ -19,10 +19,13 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    DataError,
     InvalidRate,
     InvalidSpec,
     NonDivisibleLength,
+    NonFiniteSamples,
     PatchTooLong,
+    ShapeMismatch,
     TruncatedFile,
     UnsupportedWavEncoding,
 )
@@ -64,9 +67,9 @@ class SignalAsset:
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
-            raise InvalidSpec(f"samples must be (T, k), got shape {arr.shape}")
+            raise ShapeMismatch("SignalAsset", arr.shape, ("T >= 1", "k"))
         if not np.all(np.isfinite(arr)):
-            raise InvalidSpec("samples contain non-finite values")
+            raise NonFiniteSamples("samples contain non-finite values")
         self.samples = arr
 
     @property
@@ -176,9 +179,11 @@ def synth_signal(spec: dict, seed: int) -> SignalAsset:
             samples, rate = _gen_random_walk(spec, rng)
         else:
             raise InvalidSpec(f"unknown generator kind {kind!r}")
+        return SignalAsset(samples, rate, {"generator": spec, "seed": seed})
     except KeyError as exc:
         raise InvalidSpec(f"spec missing field {exc}") from exc
-    return SignalAsset(samples, rate, {"generator": spec, "seed": seed})
+    except DataError as exc:    # the spec, not a file, made the bad samples
+        raise InvalidSpec(f"spec gives no valid signal: {exc}") from exc
 
 
 # --- pairing and patching -----------------------------------------------------

@@ -25,7 +25,6 @@ from .errors import (
     InvalidRate,
     InvalidRipple,
     LengthMismatch,
-    SignalTooShort,
     TooShort,
     ZeroReference,
 )
@@ -356,7 +355,7 @@ def stft(x, frame_length: int = 8192, hop: int | None = None,
     if hop is None:
         hop = frame_length // 2
     if x.size < frame_length:
-        raise SignalTooShort(
+        raise TooShort(
             f"signal length {x.size} shorter than frame {frame_length}"
         )
     w = _window(window, frame_length)

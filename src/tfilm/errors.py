@@ -1,18 +1,32 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class names its CLI exit code by its base: a ``DataError`` (a bad
+or unusable input file or signal) exits 2, a ``UsageError`` (a bad flag,
+parameter or spec) exits 1, and any other ``TfilmError`` is a failed
+invariant or check and exits 3.
+"""
 
 
 class TfilmError(Exception):
     """Base class for all library errors."""
 
 
+class DataError(TfilmError):
+    """The input data is malformed, inconsistent or too short for the run."""
+
+
+class UsageError(TfilmError):
+    """An argument, parameter or spec is out of its valid range."""
+
+
 # --- tensor / autodiff ---
 
-class ShapeMismatch(TfilmError):
+class ShapeMismatch(DataError):
     def __init__(self, op, a, b):
         super().__init__(f"{op}: incompatible shapes {tuple(a)} vs {tuple(b)}")
 
 
-class NonDivisibleLength(TfilmError):
+class NonDivisibleLength(DataError):
     pass
 
 
@@ -30,11 +44,7 @@ class NonDeterministicFunction(TfilmError):
 
 # --- layers ---
 
-class ChannelMismatch(TfilmError):
-    pass
-
-
-class KernelLargerThanInput(TfilmError):
+class ChannelMismatch(DataError):
     pass
 
 
@@ -42,76 +52,76 @@ class ChannelsNotDivisible(TfilmError):
     pass
 
 
-class InvalidRate(TfilmError):
+class InvalidRate(UsageError):
     pass
 
 
 # --- model ---
 
-class ConfigInvariantViolation(TfilmError):
+class ConfigInvariantViolation(UsageError):
     pass
 
 
-class LengthInvariantViolation(TfilmError):
+class LengthInvariantViolation(DataError):
     pass
 
 
 # --- dsp ---
 
-class InvalidCutoff(TfilmError):
+class InvalidCutoff(UsageError):
     pass
 
 
-class InvalidRipple(TfilmError):
+class InvalidRipple(UsageError):
     pass
 
 
-class TooShort(TfilmError):
+class TooShort(DataError):
     pass
 
 
-class SignalTooShort(TfilmError):
+class LengthMismatch(DataError):
     pass
 
 
-class LengthMismatch(TfilmError):
-    pass
-
-
-class ZeroReference(TfilmError):
+class ZeroReference(DataError):
     pass
 
 
 # --- data / io ---
 
-class InvalidSpec(TfilmError):
+class InvalidSpec(UsageError):
     pass
 
 
-class PatchTooLong(TfilmError):
+class NonFiniteSamples(DataError):
     pass
 
 
-class BadMagic(TfilmError):
+class PatchTooLong(DataError):
     pass
 
 
-class BadCheckpointConfig(TfilmError):
+class BadMagic(DataError):
+    pass
+
+
+class BadCheckpointConfig(DataError):
     """The model config stored in a checkpoint does not parse or is not a
     valid ``ModelConfig``: a corrupt file, not a usage error."""
 
 
-class TruncatedFile(TfilmError):
+class TruncatedFile(DataError):
     pass
 
 
-class UnsupportedWavEncoding(TfilmError):
+class UnsupportedWavEncoding(DataError):
     pass
 
 
 # --- training ---
 
-class EmptyDataset(TfilmError):
+class EmptyDataset(DataError):
     pass
 
 

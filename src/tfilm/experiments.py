@@ -103,8 +103,7 @@ def _train_on_pairs(cfg, pairs, patch_length, stride, seed, epochs, lr, batch_si
         [make_patches(p, patch_length, stride) for p in pairs], seed)
     run = train(model, dataset, TrainConfig(
         epochs=epochs, lr=lr, batch_size=batch_size, seed=seed,
-        out_dir=out_dir, save_checkpoints=out_dir is not None,
-        restore_best=True, restore_best_min_delta=min_delta,
+        out_dir=out_dir, restore_best=True, restore_best_min_delta=min_delta,
     ))
     return model, run
 

@@ -2,10 +2,10 @@
 shuffle and dropout.
 
 Inputs are batched (N, T, C) tensors throughout. Convolution uses the
-cross-correlation convention (no kernel flip). Same-padding pads
-(k_eff - 1) // 2 samples on the left and the remainder on the right,
-with k_eff = (k - 1) * dilation + 1, which keeps output lengths at
-ceil(T / stride).
+cross-correlation convention (no kernel flip) and "same" padding, the
+only mode: (k_eff - 1) // 2 samples on the left and the remainder on
+the right, with k_eff = (k - 1) * dilation + 1, which keeps output
+lengths at ceil(T / stride) for every kernel and input length.
 
 Convolution runs over tiles of L consecutive outputs. Each tile is a
 sum of a few GEMMs between zero-copy rows of the padded input and
@@ -38,10 +38,9 @@ from .errors import (
     ChannelMismatch,
     ChannelsNotDivisible,
     InvalidRate,
-    KernelLargerThanInput,
     ShapeMismatch,
 )
-from .tensor import Tensor, _sigmoid, concat
+from .tensor import Tensor, concat, sigmoid
 
 __all__ = [
     "Conv1dParams",
@@ -81,7 +80,6 @@ class Conv1dParams:
     bias: Tensor
     stride: int = 1
     dilation: int = 1
-    padding: str = "same"  # "same" | "valid"
 
     @property
     def out_channels(self):
@@ -107,7 +105,7 @@ _INIT_CHUNK = 16
 
 
 def init_conv_params(out_channels, in_channels, kernel_len, rng,
-                     stride=1, dilation=1, padding="same", zero=False):
+                     stride=1, dilation=1, zero=False):
     """Uniform init scaled by 1/sqrt(fan-in); ``zero=True`` for identity-at-init
     output stages; ``rng=None`` allocates the weight without drawing (for
     loaders that fill it). The weight is tap-major (see
@@ -127,7 +125,6 @@ def init_conv_params(out_channels, in_channels, kernel_len, rng,
         bias=Tensor(np.zeros(out_channels), requires_grad=True),
         stride=stride,
         dilation=dilation,
-        padding=padding,
     )
 
 
@@ -490,7 +487,7 @@ def _freq_conv_grads(buf, wt, g_out, seg, want_w=True, want_x=True):
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Batched 1D cross-correlation with stride/dilation and same|valid padding.
+    """Batched 1D cross-correlation with stride/dilation and same padding.
 
     The output is cut into tiles of L consecutive outputs. The padded
     input is one (N, T_b, C) buffer, and its rows of L*s consecutive
@@ -542,19 +539,9 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     k = p.kernel_len
     k_eff = p.effective_kernel
     stride = p.stride
-    if p.padding == "valid":
-        if k_eff > t:
-            raise KernelLargerThanInput(
-                f"effective kernel {k_eff} exceeds input length {t}"
-            )
-        pad_l = 0
-        t_out = (t - k_eff) // stride + 1
-    elif p.padding == "same":
-        t_out = -(-t // stride)
-        total = max(0, (t_out - 1) * stride + k_eff - t)
-        pad_l = min((k_eff - 1) // 2, total)
-    else:
-        raise ValueError(f"unknown padding mode {p.padding!r}")
+    t_out = -(-t // stride)
+    total = max(0, (t_out - 1) * stride + k_eff - t)
+    pad_l = min((k_eff - 1) // 2, total)
 
     cout = p.out_channels
     # keep every sub-th padded sample; s and d are then the buffer's
@@ -796,7 +783,7 @@ def _scan_one_direction(xs: Tensor, p: LstmParams, reverse: bool) -> Tensor:
     for s in order:
         pre = (xw[:, s] + h @ u.T).reshape(n, 4, hd)
         a = act[:, s]
-        a[:, :3] = _sigmoid(pre[:, :3])
+        a[:, :3] = sigmoid(pre[:, :3])
         np.tanh(pre[:, 3], out=a[:, 3])
         c = a[:, 1] * c + a[:, 0] * a[:, 3]
         c_all[:, s] = c

@@ -294,8 +294,7 @@ def _assemble(cfg, rng, seed):
     for d in range(1, cfg.depth + 1):
         conv = init_conv_params(
             cfg.down_filters(d), channels, cfg.down_kernel(d), rng,
-            stride=2, dilation=2, padding="same",
-        )
+            stride=2, dilation=2)
         channels = cfg.down_filters(d)
         tf = None
         if cfg.use_tfilm:
@@ -305,8 +304,7 @@ def _assemble(cfg, rng, seed):
         down.append(_Stage(f"down{d}", conv, tf))
         skip_channels.append(channels)
 
-    conv = init_conv_params(cfg.bottleneck_filters(), channels, 9, rng,
-                            stride=2, padding="same")
+    conv = init_conv_params(cfg.bottleneck_filters(), channels, 9, rng, stride=2)
     channels = cfg.bottleneck_filters()
     tf = None
     if cfg.use_tfilm:
@@ -317,13 +315,11 @@ def _assemble(cfg, rng, seed):
 
     up = []
     for u in range(1, cfg.depth + 1):
-        conv = init_conv_params(cfg.up_filters(u), channels, cfg.up_kernel(u), rng,
-                                stride=1, padding="same")
+        conv = init_conv_params(cfg.up_filters(u), channels, cfg.up_kernel(u), rng)
         channels = cfg.up_filters(u) // 2 + skip_channels[cfg.depth - u]
         up.append(_Stage(f"up{u}", conv))
 
-    final_conv = init_conv_params(2, channels, 9, rng, stride=1, padding="same",
-                                  zero=True)
+    final_conv = init_conv_params(2, channels, 9, rng, zero=True)
     final = _Stage("final", final_conv)
     return Model(cfg, down, bottleneck, up, final, seed)
 

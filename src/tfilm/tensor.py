@@ -31,6 +31,7 @@ from .errors import NonDivisibleLength, NonScalarRoot, NoTape, ShapeMismatch
 __all__ = [
     "Tensor",
     "no_grad",
+    "sigmoid",
     "BlockTensor",
     "concat",
     "reshape_to_blocks",
@@ -60,7 +61,7 @@ def _as_array(data):
     return np.ascontiguousarray(arr)
 
 
-def _sigmoid(x):
+def sigmoid(x):
     """Logistic function of an array; the piecewise form avoids exp overflow
     for large |x|."""
     e = np.exp(-np.abs(x))
@@ -118,10 +119,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
-
-    def detach(self):
-        """A view of the same value that blocks gradient flow."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
 
     def accumulate_grad(self, g, copy=False):
         """Add ``g`` into ``.grad``.
@@ -230,9 +227,6 @@ class Tensor:
             lambda g, a, b: -g,
         )
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         return self._binary(
             other, "mul",
@@ -243,24 +237,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def __truediv__(self, other):
         if not isinstance(other, (int, float)):
             raise TypeError("tensor division is only defined for scalar divisors")
         return self * (1.0 / float(other))
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        e = float(exponent)
-        data = self.data ** e
-
-        def backward(g, s=self):
-            s.accumulate_grad(g * e * s.data ** (e - 1.0))
-
-        return Tensor._from_op(data, (self,), backward)
 
     # -- linear algebra -------------------------------------------------------
 
@@ -331,22 +311,19 @@ class Tensor:
 
     # -- reductions -----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        data = self.data.sum(axis=axis)
 
-        def backward(g, s=self, axis=axis, keepdims=keepdims):
-            if axis is None:
-                s.accumulate_grad(np.broadcast_to(g, s.shape).copy())
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                s.accumulate_grad(np.broadcast_to(g, s.shape).copy())
+        def backward(g, s=self, axis=axis):
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            s.accumulate_grad(np.broadcast_to(g, s.shape).copy())
 
         return Tensor._from_op(np.asarray(data, dtype=np.float64), (self,), backward)
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / n
+        return self.sum(axis=axis) / n
 
     def max(self, axis):
         """Max over one axis; ties route the gradient to the earliest index."""
@@ -375,7 +352,7 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward)
 
     def sigmoid(self):
-        data = _sigmoid(self.data)
+        data = sigmoid(self.data)
 
         def backward(g, s=self, y=data):
             s.accumulate_grad(g * y * (1.0 - y))

@@ -1,14 +1,17 @@
 """CLI subcommands, exit codes and resolved-config emission."""
 
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tfilm import cli
+from tfilm import cli, errors
 from tfilm.cli import main, openblas_thread_calls
 from tfilm.data import (
+    RAW_MAGIC,
+    RAW_VERSION,
     SignalAsset,
     read_csv_signal,
     read_rawf32,
@@ -268,3 +271,52 @@ def test_train_wrong_model_value_type_is_usage_error(tmp_path, spec_file, value)
     main(["synth", "--spec", str(spec_file), "--out", str(data / "sig.raw")])
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
                  "--set", f"model.depth={value}"]) == 1
+
+
+@pytest.mark.parametrize("subcommand,length,fill", [
+    pytest.param("eval", 1000, np.sin, id="eval-shorter-than-lsd-frame"),
+    pytest.param("eval", 1001, np.sin, id="eval-length-not-divisible"),
+    pytest.param("train", 1001, np.sin, id="train-length-not-divisible"),
+    pytest.param("eval", 1000, np.zeros_like, id="eval-all-zero-target"),
+    pytest.param("degrade", 3, None, id="degrade-csv-nan-cell"),
+    pytest.param("degrade", 0, None, id="degrade-raw-no-samples"),
+])
+def test_unusable_signal_is_data_error(tmp_path, subcommand, length, fill, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    if subcommand == "degrade":
+        src = tmp_path / ("sig.csv" if length else "sig.raw")
+        if length:
+            src.write_text("ch0\n1.0\nnan\n2.0\n")
+        else:   # a RAWF32 header that declares 0 samples of 1 channel
+            src.write_bytes(RAW_MAGIC + struct.pack("<HHIQ", RAW_VERSION, 1, 0, 0))
+        argv = ["degrade", "--in", str(src), "-r", "2", "--out", str(tmp_path / "low.raw")]
+    else:
+        write_rawf32(data / "sig.raw", SignalAsset(fill(0.05 * np.arange(length))))
+        if subcommand == "eval":
+            ckpt = tmp_path / "m.ckpt"
+            save_checkpoint(ckpt, build_model(ModelConfig(
+                depth=2, patch_length=64, max_filters=8, tfilm_blocks=4), seed=0))
+            argv = ["eval", "--ckpt", str(ckpt), "--data", str(data),
+                    "--out", str(tmp_path / "report.csv")]
+        else:
+            argv = ["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                    "--set", "model.depth=2", "--set", "model.max_filters=8",
+                    "--set", "model.tfilm_blocks=4", "--set", "model.patch_length=64",
+                    "--set", "data.patch_length=64"]
+    assert main(argv) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_every_error_class_picks_one_exit_code():
+    checks = {errors.NonScalarRoot, errors.NoTape, errors.NonDeterministicFunction,
+              errors.ChannelsNotDivisible, errors.NonFiniteLoss}
+    bases = {errors.TfilmError, errors.DataError, errors.UsageError}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.TfilmError)
+               and c not in bases]
+    assert checks <= set(classes)
+    for c in classes:
+        kinds = [issubclass(c, errors.DataError), issubclass(c, errors.UsageError),
+                 c in checks]
+        assert kinds.count(True) == 1, c.__name__

@@ -22,7 +22,9 @@ from tfilm.errors import (
     InvalidRate,
     InvalidSpec,
     NonDivisibleLength,
+    NonFiniteSamples,
     PatchTooLong,
+    ShapeMismatch,
     TruncatedFile,
 )
 
@@ -34,8 +36,17 @@ def test_asset_promotes_1d():
 
 
 def test_asset_rejects_non_finite():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(NonFiniteSamples):
         SignalAsset(np.array([1.0, np.nan]))
+
+
+def test_spec_of_an_empty_signal_is_invalid_spec():
+    # the asset's data error, raised from a spec, is the spec's usage error
+    with pytest.raises(ShapeMismatch):
+        SignalAsset(np.zeros((0, 1)))
+    with pytest.raises(InvalidSpec):
+        synth_signal({"kind": "multisine", "length": 0,
+                      "components": [{"freq": 0.1}]}, 0)
 
 
 def test_synth_deterministic():

@@ -9,7 +9,6 @@ import tfilm.layers as layers
 from tfilm.errors import (
     ChannelMismatch,
     ChannelsNotDivisible,
-    KernelLargerThanInput,
 )
 from tfilm.layers import (
     _tile_len,
@@ -29,16 +28,13 @@ RNG = lambda: np.random.default_rng(42)
 # --- conv1d -------------------------------------------------------------------
 
 
-def _naive_conv(x, w, b, stride, dilation, padding):
-    n, t, cin = x.shape
+def _naive_conv(x, w, b, stride, dilation):
+    n, _, cin = x.shape
     cout, _, k = w.shape
     k_eff = (k - 1) * dilation + 1
-    if padding == "same":
-        left = (k_eff - 1) // 2
-        right = k_eff - 1 - left
-        x = np.pad(x, ((0, 0), (left, right), (0, 0)))
-        t = x.shape[1]
-    t_out = (t - k_eff) // stride + 1
+    left = (k_eff - 1) // 2
+    x = np.pad(x, ((0, 0), (left, k_eff - 1 - left), (0, 0)))
+    t_out = (x.shape[1] - k_eff) // stride + 1
     out = np.zeros((n, t_out, cout))
     for nn in range(n):
         for ti in range(t_out):
@@ -50,15 +46,14 @@ def _naive_conv(x, w, b, stride, dilation, padding):
     return out
 
 
-def _naive_conv_grads(x, w, stride, dilation, padding, g):
+def _naive_conv_grads(x, w, stride, dilation, g):
     """Gradients of sum(g * conv(x)) by the loops of _naive_conv, each
     step over all items at once."""
     n, t, cin = x.shape
     cout, _, k = w.shape
     k_eff = (k - 1) * dilation + 1
-    left = (k_eff - 1) // 2 if padding == "same" else 0
-    right = k_eff - 1 - left if padding == "same" else 0
-    xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
+    left = (k_eff - 1) // 2
+    xp = np.pad(x, ((0, 0), (left, k_eff - 1 - left), (0, 0)))
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
     for ti in range(g.shape[1]):
@@ -69,33 +64,33 @@ def _naive_conv_grads(x, w, stride, dilation, padding, g):
     return dxp[:, left:left + t], dw, g.sum(axis=(0, 1))
 
 
-@pytest.mark.parametrize("stride,dilation,padding,cin,k,t,tile", [
-    pytest.param(1, 1, "valid", 3, 5, 12, 1, id="1-1-valid"),
-    pytest.param(2, 1, "valid", 3, 5, 12, 1, id="2-1-valid"),
-    pytest.param(1, 2, "valid", 3, 5, 12, 1, id="1-2-valid"),
-    pytest.param(1, 1, "same", 3, 5, 12, 1, id="1-1-same"),
-    pytest.param(2, 2, "same", 3, 5, 12, 1, id="2-2-same"),
-    pytest.param(2, 2, "same", 1, 9, 12, 1, id="2-2-same-cin1-k9"),
-    pytest.param(2, 2, "same", 24, 5, 256, 4, id="2-2-same-cin24-k5"),
-    pytest.param(1, 1, "same", 64, 3, 128, 2, id="1-1-same-cin64-k3"),
+# 1-2 and tiles-1-2 are the cases that read their buffer at dilation 2;
+# the 2-2 ones keep every other padded sample and read it at dilation 1
+@pytest.mark.parametrize("stride,dilation,cin,k,t,tile", [
+    pytest.param(2, 1, 3, 5, 12, 1, id="2-1-same"),
+    pytest.param(1, 2, 3, 5, 12, 1, id="1-2-same"),
+    pytest.param(1, 1, 3, 5, 12, 1, id="1-1-same"),
+    pytest.param(2, 2, 3, 5, 12, 1, id="2-2-same"),
+    pytest.param(2, 2, 1, 9, 12, 1, id="2-2-same-cin1-k9"),
+    pytest.param(2, 2, 24, 5, 256, 4, id="2-2-same-cin24-k5"),
+    pytest.param(1, 1, 64, 3, 128, 2, id="1-1-same-cin64-k3"),
     # tiles of L outputs with a ragged last tile (T' % L != 0); the kernel
     # spans M = ceil(((L-1)*s + k_eff) / (L*s)) tiles, 2 to 17 here
-    pytest.param(1, 1, "same", 1, 33, 300, 8, id="tiles-cin1-k33"),
-    pytest.param(1, 1, "same", 1, 65, 300, 8, id="tiles-cin1-k65"),
-    pytest.param(2, 2, "same", 2, 33, 600, 8, id="tiles-cin2-k33-down"),
-    pytest.param(2, 2, "same", 2, 65, 600, 8, id="tiles-cin2-k65-down"),
-    pytest.param(1, 1, "same", 24, 33, 202, 4, id="tiles-cin24-k33"),
-    pytest.param(1, 1, "same", 24, 65, 202, 4, id="tiles-cin24-k65"),
-    pytest.param(1, 1, "same", 2, 9, 71, 2, id="tiles-k9-spans-5"),
+    pytest.param(1, 1, 1, 33, 300, 8, id="tiles-cin1-k33"),
+    pytest.param(1, 1, 1, 65, 300, 8, id="tiles-cin1-k65"),
+    pytest.param(2, 2, 2, 33, 600, 8, id="tiles-cin2-k33-down"),
+    pytest.param(2, 2, 2, 65, 600, 8, id="tiles-cin2-k65-down"),
+    pytest.param(1, 1, 24, 33, 202, 4, id="tiles-cin24-k33"),
+    pytest.param(1, 1, 24, 65, 202, 4, id="tiles-cin24-k65"),
+    pytest.param(1, 1, 2, 9, 71, 2, id="tiles-k9-spans-5"),
     # the bottleneck: stride 2 at dilation 1, read through L*s-sample rows
-    pytest.param(2, 1, "same", 16, 9, 522, 4, id="tiles-2-1-bottleneck"),
-    pytest.param(1, 2, "valid", 2, 9, 150, 4, id="tiles-1-2-valid"),
+    pytest.param(2, 1, 16, 9, 522, 4, id="tiles-2-1-bottleneck"),
+    pytest.param(1, 2, 2, 9, 150, 4, id="tiles-1-2-same"),
 ])
-def test_conv1d_matches_naive(stride, dilation, padding, cin, k, t, tile, request):
+def test_conv1d_matches_naive(stride, dilation, cin, k, t, tile, request):
     rng = RNG()
     x = Tensor(rng.normal(size=(2, t, cin)), requires_grad=True)
-    p = init_conv_params(4, cin, k, rng, stride=stride, dilation=dilation,
-                         padding=padding)
+    p = init_conv_params(4, cin, k, rng, stride=stride, dilation=dilation)
     p.bias.data = rng.normal(size=4)
     out = conv1d(x, p)
     # the case runs the tile length it names, and a tiles- case a ragged
@@ -104,13 +99,12 @@ def test_conv1d_matches_naive(stride, dilation, padding, cin, k, t, tile, reques
     assert _tile_len(buffer_stride * cin, 2 * out.shape[1]) == tile
     if request.node.callspec.id.startswith("tiles-"):
         assert out.shape[1] % tile
-    ref = _naive_conv(x.data, p.weight.data, p.bias.data, stride, dilation, padding)
+    ref = _naive_conv(x.data, p.weight.data, p.bias.data, stride, dilation)
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
     g = rng.normal(size=out.shape)
     (out * Tensor(g)).sum().backward()
-    dx, dw, db = _naive_conv_grads(x.data, p.weight.data, stride, dilation,
-                                   padding, g)
+    dx, dw, db = _naive_conv_grads(x.data, p.weight.data, stride, dilation, g)
     np.testing.assert_allclose(x.grad, dx, atol=1e-12)
     np.testing.assert_allclose(p.weight.grad, dw, atol=1e-12)
     np.testing.assert_allclose(p.bias.grad, db, atol=1e-12)
@@ -168,10 +162,10 @@ def test_conv1d_output_shorter_than_a_tile(n, t):
     if t:
         assert _tile_len(1, n * t) > t
     np.testing.assert_allclose(out.data, _naive_conv(x.data, p.weight.data, p.bias.data,
-                                                     1, 1, "same"), atol=1e-12)
+                                                     1, 1), atol=1e-12)
     g = rng.normal(size=out.shape)
     (out * Tensor(g)).sum().backward()
-    dx, dw, db = _naive_conv_grads(x.data, p.weight.data, 1, 1, "same", g)
+    dx, dw, db = _naive_conv_grads(x.data, p.weight.data, 1, 1, g)
     np.testing.assert_allclose(x.grad, dx, atol=1e-12)
     np.testing.assert_allclose(p.weight.grad, dw, atol=1e-12)
     np.testing.assert_allclose(p.bias.grad, db, atol=1e-12)
@@ -345,7 +339,7 @@ def test_conv1d_frequency_path_matches_naive_and_direct(
     assert calls == [(k, cin, cout, g.shape[1])]
     (y, *grads), (y_direct, *grads_direct) = results
     assert _rel_err(y, y_direct) <= 1e-12
-    naive = _naive_conv_grads(x.data, p.weight.data, stride, dilation, "same", g)
+    naive = _naive_conv_grads(x.data, p.weight.data, stride, dilation, g)
     for got, direct, want in zip(grads, grads_direct, naive):
         assert _rel_err(got, want) <= 1e-12
         assert _rel_err(got, direct) <= 1e-12
@@ -393,14 +387,14 @@ def test_frequency_path_needs_long_kernels_and_outputs():
 
 def test_conv1d_same_stride1_preserves_length():
     rng = RNG()
-    p = init_conv_params(2, 1, 9, rng, stride=1, padding="same")
+    p = init_conv_params(2, 1, 9, rng, stride=1)
     out = conv1d(Tensor(rng.normal(size=(1, 40, 1))), p)
     assert out.shape == (1, 40, 2)
 
 
 def test_conv1d_same_stride2_halves_length():
     rng = RNG()
-    p = init_conv_params(2, 1, 9, rng, stride=2, padding="same")
+    p = init_conv_params(2, 1, 9, rng, stride=2)
     out = conv1d(Tensor(rng.normal(size=(1, 40, 1))), p)
     assert out.shape == (1, 20, 2)
 
@@ -410,13 +404,6 @@ def test_conv1d_channel_mismatch():
     p = init_conv_params(2, 3, 3, rng)
     with pytest.raises(ChannelMismatch):
         conv1d(Tensor(rng.normal(size=(1, 10, 2))), p)
-
-
-def test_conv1d_kernel_larger_than_input():
-    rng = RNG()
-    p = init_conv_params(2, 1, 9, rng, padding="valid")
-    with pytest.raises(KernelLargerThanInput):
-        conv1d(Tensor(rng.normal(size=(1, 4, 1))), p)
 
 
 def _is_tap_major(a):

@@ -7,11 +7,11 @@ from tfilm.errors import NonDivisibleLength, NonScalarRoot, NoTape, ShapeMismatc
 from tfilm.tensor import (
     BlockTensor,
     Tensor,
-    _sigmoid,
     concat,
     no_grad,
     reshape_from_blocks,
     reshape_to_blocks,
+    sigmoid,
 )
 
 
@@ -53,15 +53,12 @@ def test_grad_accumulates_across_uses():
     np.testing.assert_allclose(x.grad, [3.0])
 
 
-def test_zero_grad_and_detach():
+def test_zero_grad():
     x = Tensor([1.0], requires_grad=True)
     (x * 2.0).sum().backward()
     assert x.grad is not None
     x.zero_grad()
     assert x.grad is None
-    d = x.detach()
-    assert not d.requires_grad
-    np.testing.assert_array_equal(d.data, x.data)
 
 
 def test_matmul_forward_backward():
@@ -148,7 +145,7 @@ def test_sigmoid_bit_identical_to_piecewise_formula():
     ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     assert Tensor(x).sigmoid().data.tobytes() == ref.tobytes()
-    assert _sigmoid(x).tobytes() == ref.tobytes()
+    assert sigmoid(x).tobytes() == ref.tobytes()
 
 
 def test_concat_backward_splits():
@@ -184,9 +181,9 @@ def test_pass_through_gradients_are_copied():
     np.testing.assert_allclose(b.grad, 4.0 * b.data)
 
 
-def test_pow_and_div():
+def test_div_by_scalar():
     x = Tensor([2.0], requires_grad=True)
-    (x ** 3 / 2.0).sum().backward()
+    (x * x * x / 2.0).sum().backward()
     np.testing.assert_allclose(x.grad, [6.0])
 
 
