@@ -13,6 +13,7 @@ import ctypes
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .data import (
 )
 from .dsp import degrade, spline_upsample
 from .experiments import impute_input
-from .model import ModelConfig, build_model, load_checkpoint
+from .model import ModelConfig, build_model, check_field_type, load_checkpoint
 from .train import TrainConfig, evaluate, train
 
 EXIT_OK = 0
@@ -102,7 +103,6 @@ def _apply_overrides(config, pairs):
         except json.JSONDecodeError:
             value = raw
         config[key.strip()] = value
-    return config
 
 
 def _emit_resolved(out_path, subcommand, config):
@@ -132,12 +132,6 @@ def _write_signal(path, asset):
         write_csv_signal(p, asset)
     else:
         write_rawf32(p, asset)
-
-
-def _model_config(config):
-    fields = {k.split(".", 1)[1]: v for k, v in config.items()
-              if k.startswith("model.")}
-    return ModelConfig.from_dict(fields) if fields else ModelConfig()
 
 
 # --- subcommand bodies ----------------------------------------------------------
@@ -176,41 +170,59 @@ def _load_dir_pairs(data_dir, r):
     return [make_pairs(_read_signal(f), r) for f in files]
 
 
+# train.* keys name these TrainConfig fields, model.* keys any ModelConfig
+# field; data.r is the decimation ratio (default 2) and data.stride the
+# window stride (default half a patch)
+_TRAIN_FIELDS = ("epochs", "lr", "batch_size", "seed", "val_fraction")
+# the least value of each bounded key; train.val_fraction lies in [0, 1)
+_LEAST = {"train.epochs": 0, "train.batch_size": 1, "train.seed": 0, "data.r": 1,
+          "data.stride": 1}
+
+
+def _train_settings(config, out_dir):
+    """The ``ModelConfig``, ``TrainConfig`` and data.* values of flat dotted
+    keys, each checked for name, type and range; defaults are the fields'."""
+    kinds = {f"model.{f.name}": f.type for f in fields(ModelConfig)}
+    kinds.update((f"train.{f.name}", f.type) for f in fields(TrainConfig)
+                 if f.name in _TRAIN_FIELDS)
+    kinds.update({"data.r": "int", "data.stride": "int"})
+    groups = {"model": {}, "train": {}, "data": {"r": 2}}
+    for key, value in config.items():
+        if key not in kinds:
+            raise errors.ConfigInvariantViolation(f"unknown train config key {key!r}")
+        check_field_type(key, kinds[key], value)
+        section, name = key.split(".", 1)
+        groups[section][name] = value
+    for key, least in _LEAST.items():
+        if config.get(key, least) < least:
+            raise errors.ConfigInvariantViolation(f"{key} must be >= {least}, got {config[key]}")
+    if not 0 <= config.get("train.val_fraction", 0) < 1:
+        raise errors.ConfigInvariantViolation(
+            f"train.val_fraction must be in [0, 1), got {config['train.val_fraction']}")
+    model_cfg = ModelConfig(**groups["model"])
+    model_cfg.validate()
+    return model_cfg, TrainConfig(**groups["train"], out_dir=out_dir), groups["data"]
+
+
 def _cmd_train(args):
     config = json.loads(Path(args.config).read_text()) if args.config else {}
+    if isinstance(config, dict) and config.get("subcommand") == "train":
+        config = config.get("config")   # the record of a train run replays it
+    if not isinstance(config, dict):
+        raise errors.ConfigInvariantViolation("--config holds no mapping of keys")
     _apply_overrides(config, args.set)
     if args.seed is not None:
         config["train.seed"] = args.seed
-    seed = int(config.get("train.seed", 0))
-    r = int(config.get("data.r", 2))
-    patch_length = int(config.get("data.patch_length", 8192))
-    stride = config.get("data.stride")
-    stride = int(stride) if stride is not None else None
-
-    model_cfg = _model_config(config)
-    if model_cfg.patch_length != patch_length:
-        model_cfg = ModelConfig.from_dict(
-            {**model_cfg.to_dict(), "patch_length": patch_length})
-    model = build_model(model_cfg, seed=seed)
-
+    model_cfg, train_cfg, data = _train_settings(config, args.out)
     dataset = PatchDataset.concat(
-        [make_patches(p, patch_length, stride) for p in _load_dir_pairs(args.data, r)], seed)
-    train_cfg = TrainConfig(
-        epochs=int(config.get("train.epochs", 50)),
-        lr=float(config.get("train.lr", 3e-4)),
-        batch_size=int(config.get("train.batch_size", 16)),
-        seed=seed,
-        val_fraction=float(config.get("train.val_fraction", 0.1)),
-        out_dir=args.out,
-    )
-    config.setdefault("data.r", r)
-    config.setdefault("data.patch_length", patch_length)
-    config.setdefault("train.seed", seed)
-    for k, v in model_cfg.to_dict().items():
-        config.setdefault(f"model.{k}", v)
+        [make_patches(p, model_cfg.patch_length, data.get("stride"))
+         for p in _load_dir_pairs(args.data, data["r"])], train_cfg.seed)
+    record = {f"model.{k}": v for k, v in model_cfg.to_dict().items()}
+    record.update((f"train.{k}", getattr(train_cfg, k)) for k in _TRAIN_FIELDS)
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    _emit_resolved(args.out, "train", config)
-    run = train(model, dataset, train_cfg)
+    _emit_resolved(args.out, "train", {**record, "data.r": data["r"],
+                                       "data.stride": dataset.stride})
+    run = train(build_model(model_cfg, seed=train_cfg.seed), dataset, train_cfg)
     if args.verbose:
         for e, (tl, vl) in enumerate(zip(run.epoch_losses, run.val_losses)):
             print(f"epoch {e:3d}  train {tl:.6e}  val {vl:.6e}")
@@ -300,7 +312,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_degrade)
 
     p = sub.add_parser("train", help="train a model on a directory of signals")
-    p.add_argument("--config", help="JSON config with flat dotted keys")
+    p.add_argument("--config", help="JSON config with flat dotted keys, or the "
+                   "resolved_config.json of a train run")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--seed", type=int, default=None)

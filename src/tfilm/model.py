@@ -36,6 +36,7 @@ from .tensor import Tensor, concat, no_grad
 
 __all__ = [
     "ModelConfig",
+    "check_field_type",
     "Model",
     "build_model",
     "count_params",
@@ -57,6 +58,14 @@ _FIXED_KEYS = {"dilation": 2, "down_dropout": 0.0, "up_dropout": 0.0,
 # the value types from_dict takes for each field type: a float field takes
 # an int too, and bool (an int subclass) fits only a bool field
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def check_field_type(name, kind, value):
+    """Raise ``ConfigInvariantViolation`` unless ``value`` fits a config
+    field ``name`` of type ``kind`` (see ``_FIELD_TYPES``)."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(
+            value, _FIELD_TYPES[kind]):
+        raise ConfigInvariantViolation(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -140,7 +149,7 @@ class ModelConfig:
         """The config of a dict of field values; ignores the retired keys
         (``_RETIRED_KEYS``), takes the fixed keys (``_FIXED_KEYS``) at their
         fixed values only, and rejects any other unknown key and any value
-        of the wrong type (see ``_FIELD_TYPES``)."""
+        of the wrong type (see ``check_field_type``)."""
         if not isinstance(d, dict):
             raise ConfigInvariantViolation(
                 f"model config must be a mapping, got {type(d).__name__}")
@@ -152,11 +161,7 @@ class ModelConfig:
                 f"unknown model config keys: {', '.join(sorted(unknown))}")
         values = {k: v for k, v in d.items() if k not in _RETIRED_KEYS}
         for name, value in values.items():
-            kind = kinds[name]
-            if isinstance(value, bool) != (kind == "bool") or not isinstance(
-                    value, _FIELD_TYPES[kind]):
-                raise ConfigInvariantViolation(
-                    f"model config {name} must be {kind}, got {value!r}")
+            check_field_type(f"model config {name}", kinds[name], value)
             if name in _FIXED_KEYS and value != _FIXED_KEYS[name]:
                 raise ConfigInvariantViolation(
                     f"model config {name} is fixed at {_FIXED_KEYS[name]!r}, "

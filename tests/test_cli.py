@@ -1,7 +1,10 @@
 """CLI subcommands, exit codes and resolved-config emission."""
 
 import json
+import shlex
 import struct
+from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +24,7 @@ from tfilm.data import (
 )
 from tfilm.dsp import spline_upsample
 from tfilm.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from tfilm.train import TrainConfig
 
 from test_model import BAD_HEADERS, _header_bytes, _rewrite_header
 
@@ -140,8 +144,7 @@ def _train_tiny(tmp_path, spec_file, run_name="run"):
     run_dir = tmp_path / run_name
     rc = main([
         "train", "--data", str(data), "--out", str(run_dir), "--seed", "1",
-        "--set", "train.epochs=2", "--set", "data.patch_length=256",
-        "--set", "model.depth=2", "--set", "model.max_filters=8",
+        "--set", "train.epochs=2", "--set", "model.depth=2", "--set", "model.max_filters=8",
         "--set", "model.tfilm_blocks=8", "--set", "model.patch_length=256",
     ])
     return rc, run_dir, data
@@ -196,6 +199,117 @@ def test_train_reruns_identically(tmp_path, spec_file):
     b = json.loads((run_b / "train_run.json").read_text())
     assert a["epoch_losses"] == b["epoch_losses"]
     assert (run_a / "best.ckpt").read_bytes() == (run_b / "best.ckpt").read_bytes()
+
+
+# the keys `train` takes, each listed in the record it writes
+TRAIN_KEYS = ({f"model.{f.name}" for f in fields(ModelConfig)}
+              | {f"train.{k}" for k in ("epochs", "lr", "batch_size", "seed", "val_fraction")}
+              | {"data.r", "data.stride"})
+
+
+def test_train_record_lists_every_key_at_its_resolved_value(tmp_path, spec_file):
+    _, run_dir, _ = _train_tiny(tmp_path, spec_file)
+    record = json.loads((run_dir / "resolved_config.json").read_text())
+    assert record["subcommand"] == "train"
+    config = record["config"]
+    assert set(config) == TRAIN_KEYS and len(config) == 15
+    assert config["model.patch_length"] == 256 and config["model.depth"] == 2
+    assert config["train.epochs"] == 2 and config["train.seed"] == 1
+    assert config["train.lr"] == TrainConfig().lr
+    assert config["model.dropout_rate"] == ModelConfig().dropout_rate
+    assert config["data.r"] == 2 and config["data.stride"] == 128
+
+
+def test_train_replays_its_record(tmp_path, spec_file):
+    _, run_a, data = _train_tiny(tmp_path, spec_file, "run_a")
+    run_b = tmp_path / "run_b"
+    assert main(["train", "--config", str(run_a / "resolved_config.json"),
+                 "--data", str(data), "--out", str(run_b)]) == 0
+    a = json.loads((run_a / "train_run.json").read_text())
+    b = json.loads((run_b / "train_run.json").read_text())
+    assert a["epoch_losses"] == b["epoch_losses"]
+    assert (run_a / "best.ckpt").read_bytes() == (run_b / "best.ckpt").read_bytes()
+    assert ((run_a / "resolved_config.json").read_text()
+            == (run_b / "resolved_config.json").read_text())
+
+
+def test_model_patch_length_sets_the_training_windows(tmp_path, spec_file, monkeypatch):
+    seen = []
+
+    def spy(model, dataset, cfg):
+        seen.append(dataset)
+        return real_train(model, dataset, cfg)
+
+    real_train = cli.train
+    monkeypatch.setattr(cli, "train", spy)
+    rc, _, _ = _train_tiny(tmp_path, spec_file)
+    assert rc == 0
+    (dataset,) = seen
+    assert dataset.patch_length == 256 and dataset.stride == 128
+    assert len(dataset) == 7   # offsets 0, 128, ..., 768 of 1024 samples
+    assert all(x.shape[0] == y.shape[0] == 256 for x, y in dataset.pairs)
+
+
+def _fail_build(*args, **kwargs):
+    raise AssertionError("model built before the data was read")
+
+
+def _train_on_empty_dir(tmp_path, *sets, argv=()):
+    # --data and --out come last, so they win over any in argv
+    empty = tmp_path / "empty"
+    empty.mkdir(exist_ok=True)
+    return main(["train", *argv, *(a for s in sets for a in ("--set", s)),
+                 "--data", str(empty), "--out", str(tmp_path / "run")])
+
+
+def test_train_reads_the_data_before_building_the_model(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_model", _fail_build)
+    assert _train_on_empty_dir(tmp_path) == 2
+    assert "no signal files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["train.epoch", "data.strid", "data.patch_length",
+                                 "model.dilation", "epochs"])
+def test_train_unknown_key_is_usage_error(tmp_path, key, capsys):
+    assert _train_on_empty_dir(tmp_path, f"{key}=2") == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "3", '{"subcommand": "train"}'])
+def test_train_config_without_a_mapping_of_keys_is_usage_error(tmp_path, content, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    assert _train_on_empty_dir(tmp_path, argv=["--config", str(config)]) == 1
+    assert "no mapping of keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2.5", "true", '"16"'])
+def test_train_wrong_train_value_type_is_usage_error(tmp_path, value, capsys):
+    assert _train_on_empty_dir(tmp_path, f"train.epochs={value}") == 1
+    assert "train.epochs must be int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    "train.batch_size=0", "train.batch_size=-1", "data.stride=0", "data.stride=-5",
+    "data.r=0", "train.epochs=-1", "train.seed=-1", "train.val_fraction=1.5", "train.val_fraction=1",
+    "train.val_fraction=-0.1",
+])
+def test_train_out_of_range_setting_is_usage_error_before_any_read(tmp_path, setting, capsys):
+    # the data directory is empty, so a check after the read would exit 2
+    assert _train_on_empty_dir(tmp_path, setting) == 1
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
+def test_readme_train_example_keys_are_accepted(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line, comments=True)[2:]
+                for line in readme.replace("\\\n", " ").splitlines()
+                if line.startswith("tfilm train") and "--set" in line]
+    assert commands
+    monkeypatch.setattr(cli, "build_model", _fail_build)
+    for argv in commands:
+        assert _train_on_empty_dir(tmp_path, argv=argv) == 2
+        assert "no signal files" in capsys.readouterr().err
 
 
 def test_impute_preserves_observed(tmp_path, spec_file):
@@ -302,8 +416,7 @@ def test_unusable_signal_is_data_error(tmp_path, subcommand, length, fill, capsy
         else:
             argv = ["train", "--data", str(data), "--out", str(tmp_path / "run"),
                     "--set", "model.depth=2", "--set", "model.max_filters=8",
-                    "--set", "model.tfilm_blocks=4", "--set", "model.patch_length=64",
-                    "--set", "data.patch_length=64"]
+                    "--set", "model.tfilm_blocks=4", "--set", "model.patch_length=64"]
     assert main(argv) == 2
     assert "data error" in capsys.readouterr().err
 
