@@ -1,4 +1,4 @@
-"""Pre-packaged gradient-check suites over every differentiable layer,
+"""Pre-packaged gradient-check suites over every op the model runs,
 the TFiLM layer end-to-end, and a miniature full model.
 
 Shared by the test suite and the ``gradcheck`` CLI subcommand.
@@ -14,7 +14,6 @@ from .layers import (
     init_conv_params,
     init_lstm_params,
     lstm_scan,
-    lstm_step,
     subpixel_shuffle,
 )
 from .model import ModelConfig, build_model
@@ -63,17 +62,6 @@ def _layer_checks(results, tol, h):
     p = init_conv_params(4, 2, 9, rng, stride=2, dilation=1)
     _check("conv1d.tiles", lambda ps: _sq(conv1d(ps[0], p)),
            [x, p.weight, p.bias], results, tol, h, max_coords=60)
-
-    lstm = init_lstm_params(3, 4, rng)
-    xt = Tensor(rng.normal(size=(2, 3)), requires_grad=True, name="x_t")
-    h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True, name="h")
-    c0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True, name="c")
-
-    def f_lstm(ps):
-        out, h_new, c_new = lstm_step(ps[0], ps[1], ps[2], lstm)
-        return _sq(out) + _sq(c_new)
-
-    _check("lstm_step", f_lstm, [xt, h0, c0] + lstm.tensors(), results, tol, h)
 
     x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True, name="x")
     _check("subpixel_shuffle", lambda ps: _sq(subpixel_shuffle(ps[0], 2)),

@@ -46,7 +46,6 @@ __all__ = [
     "Conv1dParams",
     "LstmParams",
     "conv1d",
-    "lstm_step",
     "lstm_scan",
     "subpixel_shuffle",
     "dropout",
@@ -725,31 +724,6 @@ def init_lstm_params(input_size, hidden_size, rng, bidirectional=False):
     if bidirectional:
         p.reverse = _init_lstm_cell(input_size, hidden_size, rng)
     return p
-
-
-def _gate(x, h, w, u, b):
-    n = x.shape[0]
-    pre = x @ w.transpose((1, 0)) + h @ u.transpose((1, 0))
-    return pre + b.reshape(1, -1).broadcast_to((n, b.shape[0]))
-
-
-def lstm_step(x_t: Tensor, h: Tensor, c: Tensor, p: LstmParams):
-    """One LSTM cell step on a batch: x_t (N, D), h and c (N, H).
-
-    Returns (out, h', c') with out == h'. Built from elementary tape ops;
-    :func:`lstm_scan` computes the same recurrence as one op per direction.
-    """
-    if x_t.ndim != 2 or x_t.shape[1] != p.input_size:
-        raise ShapeMismatch("lstm_step", x_t.shape, ("N", p.input_size))
-    if h.shape != (x_t.shape[0], p.hidden_size):
-        raise ShapeMismatch("lstm_step", h.shape, (x_t.shape[0], p.hidden_size))
-    i = _gate(x_t, h, p.w_i, p.u_i, p.b_i).sigmoid()
-    f = _gate(x_t, h, p.w_f, p.u_f, p.b_f).sigmoid()
-    o = _gate(x_t, h, p.w_o, p.u_o, p.b_o).sigmoid()
-    g = _gate(x_t, h, p.w_g, p.u_g, p.b_g).tanh()
-    c_new = f * c + i * g
-    h_new = o * c_new.tanh()
-    return h_new, h_new, c_new
 
 
 def _scan_one_direction(xs: Tensor, p: LstmParams, reverse: bool) -> Tensor:

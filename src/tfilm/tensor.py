@@ -11,8 +11,7 @@ needs flat positions indexes logically, e.g. through
 ``np.unravel_index``, since ``reshape(-1)`` of such an array is a copy.
 
 All computation is float64. Elementwise binary ops require identical
-shapes (scalars are the only broadcast allowed); any richer broadcast
-must go through the explicit :meth:`Tensor.broadcast_to`.
+shapes (scalars are the only broadcast allowed).
 
 Inside :func:`no_grad` ops record nothing: their outputs have no parents,
 so a forward that nobody differentiates frees each intermediate as soon
@@ -217,8 +216,6 @@ class Tensor:
             lambda g, a, b: g,
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._binary(
             other, "sub",
@@ -235,31 +232,10 @@ class Tensor:
             lambda g, a, b: g * a,
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if not isinstance(other, (int, float)):
             raise TypeError("tensor division is only defined for scalar divisors")
         return self * (1.0 / float(other))
-
-    # -- linear algebra -------------------------------------------------------
-
-    def matmul(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-        if self.ndim != 2 or other.ndim != 2 or self.shape[1] != other.shape[0]:
-            raise ShapeMismatch("matmul", self.shape, other.shape)
-        data = self.data @ other.data
-
-        def backward(g, a=self, b=other):
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
-
-        return Tensor._from_op(data, (self, other), backward)
-
-    __matmul__ = matmul
 
     # -- shape manipulation ---------------------------------------------------
 
@@ -281,21 +257,6 @@ class Tensor:
 
         def backward(g, s=self, inv=tuple(inv)):
             s.accumulate_grad(g.transpose(inv), copy=True)
-
-        return Tensor._from_op(data, (self,), backward)
-
-    def broadcast_to(self, shape):
-        """Explicit broadcast; backward sums over the expanded axes."""
-        shape = tuple(shape)
-        old = self.shape
-        data = np.ascontiguousarray(np.broadcast_to(self.data, shape))
-
-        def backward(g, s=self, old=old, new=shape):
-            extra = len(new) - len(old)
-            axes = tuple(range(extra)) + tuple(
-                i + extra for i, d in enumerate(old) if d == 1 and new[i + extra] != 1
-            )
-            s.accumulate_grad(g.sum(axis=axes).reshape(old))
 
         return Tensor._from_op(data, (self,), backward)
 
@@ -325,20 +286,6 @@ class Tensor:
         n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis) / n
 
-    def max(self, axis):
-        """Max over one axis; ties route the gradient to the earliest index."""
-        arg = np.argmax(self.data, axis=axis)
-        data = np.max(self.data, axis=axis)
-
-        def backward(g, s=self, axis=axis, arg=arg):
-            # one argmax per reduced slot, so assigning equals adding
-            ax = axis % s.ndim
-            full = np.zeros_like(s.data)
-            np.put_along_axis(full, np.expand_dims(arg, ax), np.expand_dims(g, ax), ax)
-            s.accumulate_grad(full)
-
-        return Tensor._from_op(data, (self,), backward)
-
     # -- pointwise nonlinearities --------------------------------------------
 
     def relu(self):
@@ -348,22 +295,6 @@ class Tensor:
 
         def backward(g, s=self, mask=mask):
             s.accumulate_grad(g * mask)
-
-        return Tensor._from_op(data, (self,), backward)
-
-    def sigmoid(self):
-        data = sigmoid(self.data)
-
-        def backward(g, s=self, y=data):
-            s.accumulate_grad(g * y * (1.0 - y))
-
-        return Tensor._from_op(data, (self,), backward)
-
-    def tanh(self):
-        data = np.tanh(self.data)
-
-        def backward(g, s=self, y=data):
-            s.accumulate_grad(g * (1.0 - y * y))
 
         return Tensor._from_op(data, (self,), backward)
 

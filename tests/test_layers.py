@@ -17,10 +17,9 @@ from tfilm.layers import (
     init_conv_params,
     init_lstm_params,
     lstm_scan,
-    lstm_step,
     subpixel_shuffle,
 )
-from tfilm.tensor import Tensor, concat
+from tfilm.tensor import Tensor
 
 RNG = lambda: np.random.default_rng(42)
 
@@ -450,75 +449,82 @@ def test_conv_zero_init():
 # --- lstm ---------------------------------------------------------------------
 
 
-def test_lstm_step_reference():
-    """One step against a direct numpy transcription of the gate equations."""
-    rng = RNG()
-    p = init_lstm_params(3, 4, rng)
-    x = rng.normal(size=(2, 3))
-    h = rng.normal(size=(2, 4))
-    c = rng.normal(size=(2, 4))
-    out, h2, c2 = lstm_step(Tensor(x), Tensor(h), Tensor(c), p)
-
-    def sig(v):
-        return 1.0 / (1.0 + np.exp(-v))
-
-    i = sig(x @ p.w_i.data.T + h @ p.u_i.data.T + p.b_i.data)
-    f = sig(x @ p.w_f.data.T + h @ p.u_f.data.T + p.b_f.data)
-    o = sig(x @ p.w_o.data.T + h @ p.u_o.data.T + p.b_o.data)
-    g = np.tanh(x @ p.w_g.data.T + h @ p.u_g.data.T + p.b_g.data)
-    c_ref = f * c + i * g
-    h_ref = o * np.tanh(c_ref)
-    np.testing.assert_allclose(c2.data, c_ref, atol=1e-12)
-    np.testing.assert_allclose(h2.data, h_ref, atol=1e-12)
-    np.testing.assert_allclose(out.data, h_ref, atol=1e-12)
-
-
 def test_lstm_forget_bias_offset():
     p = init_lstm_params(2, 3, RNG())
     bound = 1.0 / np.sqrt(3)
     assert np.all(p.b_f.data > 1.0 - bound) and np.all(p.b_f.data < 1.0 + bound)
 
 
-def _stepwise_direction(xs, p, reverse):
-    n, steps, _ = xs.shape
-    h = Tensor(np.zeros((n, p.hidden_size)))
-    c = Tensor(np.zeros((n, p.hidden_size)))
-    outs = [None] * steps
-    for s in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        out, h, c = lstm_step(xs[:, s, :], h, c, p)
-        outs[s] = out.reshape(n, 1, p.hidden_size)
-    return concat(outs, axis=1)
+def _stepwise_direction(x, p, reverse, g):
+    """One direction of the LSTM in numpy, gate by gate and step by step,
+    and its textbook BPTT for the output gradient ``g``. Returns the
+    output, dx and the gate tensors' gradients by name."""
+    n, steps, _ = x.shape
+    w = {k: getattr(p, f"w_{k}").data for k in "ifog"}
+    u = {k: getattr(p, f"u_{k}").data for k in "ifog"}
+    b = {k: getattr(p, f"b_{k}").data for k in "ifog"}
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h, c = np.zeros((n, p.hidden_size)), np.zeros((n, p.hidden_size))
+    out, saved = np.empty((n, steps, p.hidden_size)), {}
+    for s in order:
+        pre = {k: x[:, s] @ w[k].T + h @ u[k].T + b[k] for k in "ifog"}
+        a = {k: 1.0 / (1.0 + np.exp(-pre[k])) for k in "ifo"}
+        a["g"] = np.tanh(pre["g"])
+        h_prev, c_prev = h, c
+        c = a["f"] * c + a["i"] * a["g"]
+        h = out[:, s] = a["o"] * np.tanh(c)
+        saved[s] = (h_prev, c_prev, np.tanh(c), a)
+    grads = {f"{m}_{k}": np.zeros_like(getattr(p, f"{m}_{k}").data)
+             for m in "wub" for k in "ifog"}
+    dx = np.zeros_like(x)
+    dh_next, dc_next = np.zeros_like(h), np.zeros_like(c)
+    for s in reversed(order):
+        h_prev, c_prev, tanh_c, a = saved[s]
+        dh = g[:, s] + dh_next
+        dc = dc_next + dh * a["o"] * (1.0 - tanh_c ** 2)
+        dpre = {"i": dc * a["g"] * a["i"] * (1.0 - a["i"]),
+                "f": dc * c_prev * a["f"] * (1.0 - a["f"]),
+                "o": dh * tanh_c * a["o"] * (1.0 - a["o"]),
+                "g": dc * a["i"] * (1.0 - a["g"] ** 2)}
+        dc_next, dh_next = dc * a["f"], 0.0
+        for k, d in dpre.items():
+            grads[f"w_{k}"] += d.T @ x[:, s]
+            grads[f"u_{k}"] += d.T @ h_prev
+            grads[f"b_{k}"] += d.sum(axis=0)
+            dx[:, s] += d @ w[k]
+            dh_next = dh_next + d @ u[k]
+    return out, dx, grads
 
 
-def _stepwise_scan(xs, p):
-    """Reference scan built from per-step tape ops."""
-    fwd = _stepwise_direction(xs, p, reverse=False)
-    if not p.bidirectional:
-        return fwd
-    return concat([fwd, _stepwise_direction(xs, p.reverse, reverse=True)], axis=2)
+def _stepwise_scan(x, p, g):
+    """Output, dx and the gradients of ``p.tensors()`` of the scan, from
+    :func:`_stepwise_direction` over each direction."""
+    out, dx, grads = _stepwise_direction(x, p, False, g[:, :, :p.hidden_size])
+    if p.bidirectional:
+        rev = _stepwise_direction(x, p.reverse, True, g[:, :, p.hidden_size:])
+        out = np.concatenate([out, rev[0]], axis=2)
+        dx = dx + rev[1]
+        grads.update((f"rev.{nm}", v) for nm, v in rev[2].items())
+    return out, dx, [grads[nm] for nm, _ in p.named_tensors()]
 
 
 def test_lstm_scan_matches_stepwise():
-    """Outputs and gradients of the fused scan against the per-step tape."""
+    """Outputs and gradients of the fused scan against the numpy steps."""
     for bidirectional in (False, True):
         for steps in (1, 5):
             rng = RNG()
             p = init_lstm_params(2, 3, rng, bidirectional=bidirectional)
-            xs = Tensor(rng.normal(size=(2, steps, 2)), requires_grad=True)
-            weight = Tensor(rng.normal(size=(2, steps, 6 if bidirectional else 3)))
-            leaves = [xs] + p.tensors()
-            results = []
-            for scan in (lstm_scan, _stepwise_scan):
-                for t in leaves:
-                    t.zero_grad()
-                out = scan(xs, p)
-                (out * weight).sum().backward()
-                results.append((out.data, [t.grad for t in leaves]))
-            (fused, fused_grads), (ref, ref_grads) = results
-            np.testing.assert_allclose(fused, ref, atol=1e-12)
-            assert len(fused_grads) == len(ref_grads) == 13 + 12 * bidirectional
-            for a, b in zip(fused_grads, ref_grads):
-                np.testing.assert_allclose(a, b, atol=1e-12)
+            x = rng.normal(size=(2, steps, 2))
+            weight = rng.normal(size=(2, steps, 6 if bidirectional else 3))
+            xs = Tensor(x, requires_grad=True)
+            out = lstm_scan(xs, p)
+            (out * Tensor(weight)).sum().backward()
+            ref, ref_dx, ref_grads = _stepwise_scan(x, p, weight)
+            np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(xs.grad, ref_dx, rtol=0, atol=1e-12)
+            assert len(ref_grads) == 12 + 12 * bidirectional
+            for t, want in zip(p.tensors(), ref_grads):
+                np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-12)
 
 
 def test_bidirectional_scan_concatenates_reverse():

@@ -29,15 +29,6 @@ def test_reshape_roundtrip(data):
     assert np.array_equal(back.data, data)
 
 
-@given(_arr((3, 4)), _arr((4, 5)), _arr((5, 2)))
-@settings(max_examples=40, deadline=None)
-def test_matmul_associative(a, b, c):
-    left = (Tensor(a) @ Tensor(b)) @ Tensor(c)
-    right = Tensor(a) @ (Tensor(b) @ Tensor(c))
-    scale = max(np.max(np.abs(left.data)), 1.0)
-    assert np.max(np.abs(left.data - right.data)) / scale < 1e-12
-
-
 @given(_arr((2, 3)), _arr((2, 4)), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_concat_slice_recovers(a, b, start):

@@ -1,9 +1,12 @@
 """Tensor arithmetic, shape ops and the reverse-mode tape."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from tfilm.errors import NonDivisibleLength, NonScalarRoot, NoTape, ShapeMismatch
+from tfilm.errors import NonDivisibleLength, NonScalarRoot, NoTape
+from tfilm.model import ModelConfig, build_model
 from tfilm.tensor import (
     BlockTensor,
     Tensor,
@@ -13,6 +16,7 @@ from tfilm.tensor import (
     reshape_to_blocks,
     sigmoid,
 )
+from tfilm.train import mse_loss
 
 
 def test_construction_promotes_to_float64():
@@ -61,34 +65,11 @@ def test_zero_grad():
     assert x.grad is None
 
 
-def test_matmul_forward_backward():
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    out = a @ b
-    np.testing.assert_allclose(out.data, a.data @ b.data)
-    out.sum().backward()
-    np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T)
-    np.testing.assert_allclose(b.grad, a.data.T @ np.ones((3, 2)))
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
-
-
 def test_reshape_transpose_roundtrip_gradient():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     y = x.reshape(3, 2).transpose((1, 0)).sum()
     y.backward()
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
-
-
-def test_broadcast_backward_sums_expanded_axes():
-    x = Tensor(np.ones((1, 3)), requires_grad=True)
-    y = x.broadcast_to((4, 3)).sum()
-    y.backward()
-    np.testing.assert_array_equal(x.grad, np.full((1, 3), 4.0))
 
 
 def test_getitem_backward_scatters():
@@ -104,39 +85,10 @@ def test_sum_mean_axis():
     np.testing.assert_allclose(x.mean(axis=1).data, [1.0, 4.0])
 
 
-def test_max_first_argmax_tie():
-    x = Tensor([[2.0, 2.0, 1.0]], requires_grad=True)
-    x.max(axis=1).sum().backward()
-    # gradient flows only to the first of the tied maxima
-    np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0]])
-
-
-@pytest.mark.parametrize("axis", [0, 1, 2, -1])
-def test_max_backward_bit_equal_to_scatter_add(axis):
-    # the scatter-add formula the assignment replaced, on data with ties
-    rng = np.random.default_rng(11)
-    data = rng.integers(0, 3, size=(3, 4, 5)).astype(np.float64)
-    g = rng.normal(size=np.delete(data.shape, axis % 3))
-    x = Tensor(data, requires_grad=True)
-    (x.max(axis=axis) * Tensor(g)).sum().backward()
-    arg = np.argmax(data, axis=axis)
-    idx = list(np.indices(arg.shape))
-    idx.insert(axis % 3, arg)
-    ref = np.zeros_like(data)
-    np.add.at(ref, tuple(idx), g)
-    assert x.grad.tobytes() == ref.tobytes()
-
-
 def test_relu_subgradient_zero_at_kink():
     x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
     x.relu().sum().backward()
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
-
-
-def test_sigmoid_tanh_values():
-    x = Tensor([0.0])
-    np.testing.assert_allclose(x.sigmoid().data, [0.5])
-    np.testing.assert_allclose(x.tanh().data, [0.0])
 
 
 def test_sigmoid_bit_identical_to_piecewise_formula():
@@ -144,7 +96,6 @@ def test_sigmoid_bit_identical_to_piecewise_formula():
                         [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]])
     ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    assert Tensor(x).sigmoid().data.tobytes() == ref.tobytes()
     assert sigmoid(x).tobytes() == ref.tobytes()
 
 
@@ -214,3 +165,34 @@ def test_backward_without_tape_raises():
     with pytest.raises(NoTape):
         (Tensor([1.0, 2.0]) * 3.0).sum().backward()
     assert w.grad is None
+
+
+# not ops: construction, display and the tape's own machinery
+_BOOKKEEPING = {"__init__", "__repr__", "item", "backward", "zero_grad",
+                "accumulate_grad", "_from_op", "_binary"}
+
+
+def test_every_tensor_op_runs_in_the_model(monkeypatch):
+    """A train step of the mini K=2 model, dropout on, and an eval ``infer``
+    on a length that is not a whole unit call every op of ``Tensor``."""
+    ops = [name for name, attr in vars(Tensor).items()
+           if inspect.isfunction(attr) and name not in _BOOKKEEPING]
+    called = set()
+
+    def counted(name, fn):
+        def op(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return op
+
+    for name in ops:
+        monkeypatch.setattr(Tensor, name, counted(name, vars(Tensor)[name]))
+    cfg = ModelConfig(depth=2, patch_length=64, max_filters=8, tfilm_blocks=4,
+                      dropout_rate=0.5)
+    model = build_model(cfg, seed=7)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 64, 1)))
+    y = Tensor(rng.normal(size=(1, 64, 1)))
+    mse_loss(model.forward(x, mode="train", dropout_seed=0, step=0), y).backward()
+    model.infer(rng.normal(size=(cfg.length_unit() + 3, 1)))
+    assert sorted(set(ops) - called) == []

@@ -1,5 +1,5 @@
 """TFiLM layer algebra: identity at init, shapes, causality, and the fused
-tape ops against their composition from generic ones."""
+tape ops against a numpy reference."""
 
 import numpy as np
 import pytest
@@ -20,42 +20,66 @@ def _params(channels, block_len, seed=0, bidirectional=False):
                              bidirectional=bidirectional)
 
 
-def _composed_forward(f, p):
-    """The layer from generic tape ops: max over each block, the scan, a
-    projection to (gamma, beta), both broadcast to the size of ``f``."""
-    squeeze = f.ndim == 2
+def _vjp(out, g):
+    """Backward of sum(g * out) from ``out``, a tensor on the tape."""
+    (out * Tensor(g)).sum().backward()
+
+
+def _numpy_reference(x, p, weights):
+    """The layer and its adjoint in numpy, in the order of the old
+    composition from generic tape ops: max over each block, the scan, a
+    projection to (gamma, beta), both broadcast to the size of ``x``. Only
+    the scan, which is under test in its own right, runs on the tape.
+    Returns the output and the gradients of sum(weights * output)."""
+    for t in p.tensors():
+        t.grad = None
+    squeeze = x.ndim == 2
     if squeeze:
-        f = f.reshape(1, *f.shape)
-    n, t, c = f.shape
+        x, weights = x[None], weights[None]
+    n, t, c = x.shape
     num_blocks = t // p.block_len
-    blocks = f.reshape(n, num_blocks, p.block_len, c)
-    hidden = lstm_scan(blocks.max(axis=2), p.lstm)
-    flat = hidden.reshape(n * num_blocks, hidden.shape[2])
-    proj = flat @ p.proj_w.transpose((1, 0))
-    proj = proj + p.proj_b.reshape(1, -1).broadcast_to(proj.shape)
-    proj = proj.reshape(n, num_blocks, 2 * c)
-    gamma = (proj[:, :, :c] + 1.0).reshape(n, num_blocks, 1, c).broadcast_to(blocks.shape)
-    beta = proj[:, :, c:].reshape(n, num_blocks, 1, c).broadcast_to(blocks.shape)
+    blocks = x.reshape(n, num_blocks, p.block_len, c)
+    arg = np.argmax(blocks, axis=2)
+    pooled = Tensor(np.max(blocks, axis=2), requires_grad=True)
+    hidden = lstm_scan(pooled, p.lstm)
+    flat = hidden.data.reshape(n * num_blocks, hidden.shape[2])
+    proj = (flat @ p.proj_w.data.T + p.proj_b.data).reshape(n, num_blocks, 2 * c)
+    gamma = proj[:, :, None, :c] + 1.0
+    beta = proj[:, :, None, c:]
     out = (gamma * blocks + beta).reshape(n, t, c)
-    return out.reshape(t, c) if squeeze else out
+
+    g = weights.reshape(blocks.shape)
+    dproj = np.concatenate([(g * blocks).sum(axis=2), g.sum(axis=2)], axis=2)
+    dproj = dproj.reshape(n * num_blocks, 2 * c)
+    _vjp(hidden, (dproj @ p.proj_w.data).reshape(hidden.shape))
+    dpool = np.zeros_like(blocks)
+    np.put_along_axis(dpool, arg[:, :, None], pooled.grad[:, :, None], axis=2)
+    dx = (g * gamma + dpool).reshape(n, t, c)
+    if squeeze:
+        out, dx = out[0], dx[0]
+    grads = {"x": dx}
+    grads.update((nm, w.grad) for nm, w in p.lstm.named_tensors())
+    grads["proj_w"] = (flat.T @ dproj).T
+    grads["proj_b"] = dproj.sum(axis=0)
+    return out, grads
 
 
-def _output_and_grads(forward, x, p, weights):
-    """Output of ``forward`` and the gradients of sum(weights * output) with
+def _output_and_grads(x, p, weights):
+    """Output of the layer and the gradients of sum(weights * output) with
     respect to the input and each parameter tensor."""
     for t in p.tensors():
         t.grad = None
     xt = Tensor(x, requires_grad=True)
-    out = forward(xt, p)
-    (out * Tensor(weights)).sum().backward()
+    out = tfilm_forward(xt, p)
+    _vjp(out, weights)
     names = ["x"] + [nm for nm, _ in p.lstm.named_tensors()] + ["proj_w", "proj_b"]
     return out.data, dict(zip(names, [xt.grad] + [t.grad for t in p.tensors()]))
 
 
-def _assert_matches_composition(x, p, seed):
+def _assert_matches_reference(x, p, seed):
     weights = np.random.default_rng(seed).normal(size=x.shape)
-    out, grads = _output_and_grads(tfilm_forward, x, p, weights)
-    ref_out, ref_grads = _output_and_grads(_composed_forward, x, p, weights)
+    out, grads = _output_and_grads(x, p, weights)
+    ref_out, ref_grads = _numpy_reference(x, p, weights)
     assert np.array_equal(out, ref_out)
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
@@ -71,12 +95,13 @@ def test_forward_and_grads_bit_equal_to_composition(shape, bidirectional):
     p = _params(3, 4, seed=12, bidirectional=bidirectional)
     p.proj_w.data = rng.normal(size=p.proj_w.shape) * 0.3
     p.proj_b.data = rng.normal(size=p.proj_b.shape) * 0.1
-    _assert_matches_composition(rng.normal(size=shape), p, seed=13)
+    _assert_matches_reference(rng.normal(size=shape), p, seed=13)
 
 
 def test_pool_ties_route_to_earliest_index():
     """After a ReLU a block can be all zero or repeat its maximum; the
-    pooled gradient goes to the first maximal sample, as Tensor.max's."""
+    pooled gradient goes to the first maximal sample, the one np.argmax
+    picks."""
     rng = np.random.default_rng(14)
     p = _params(2, 4, seed=15)
     p.proj_w.data = rng.normal(size=p.proj_w.shape) * 0.3
@@ -84,14 +109,14 @@ def test_pool_ties_route_to_earliest_index():
     x[0, 0:4, :] = 0.0                   # an all-zero block
     x[1, 4:8, 0] = [0.5, 2.0, 1.0, 2.0]  # a maximum at two indices
     x[1, 8:12, 1] = 3.0                  # a constant block
-    _assert_matches_composition(x, p, seed=16)
+    _assert_matches_reference(x, p, seed=16)
 
     # with no output gradient on those blocks, their input gradient comes
     # only through the pool, and lands on the earliest maximum alone
     weights = rng.normal(size=x.shape)
     weights[0, 0:4] = 0.0
     weights[1, 4:12] = 0.0
-    dx = _output_and_grads(tfilm_forward, x, p, weights)[1]["x"]
+    dx = _output_and_grads(x, p, weights)[1]["x"]
     assert np.all(dx[0, 0] != 0.0) and not dx[0, 1:4].any()
     assert dx[1, 5, 0] != 0.0 and not dx[1, [4, 6, 7], 0].any()
     assert dx[1, 8, 1] != 0.0 and not dx[1, 9:12, 1].any()
