@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import PatchDataset, make_pairs, make_patches, synth_signal, zero_mask
 from .dsp import natural_cubic_spline
-from .model import ModelConfig, build_model, count_params
+from .model import ModelConfig, build_model
 from .train import TrainConfig, evaluate, train
 
 __all__ = [
@@ -38,15 +38,17 @@ __all__ = [
 
 def match_conv_filters(full_cfg: ModelConfig, tolerance: float = 0.10) -> ModelConfig:
     """Conv-only config whose parameter count is within ``tolerance`` of
-    the full model's, found by widening the filter cap."""
-    target = count_params(build_model(full_cfg, seed=0))
+    the full model's, found by widening the filter cap. The counts come
+    from the configs; no model is built."""
+    full_cfg.validate()
+    target = full_cfg.param_count()
     best = None
     best_diff = None
     # even caps only: subpixel(2) halves the filter count after each up block
     start = full_cfg.max_filters + full_cfg.max_filters % 2
     for max_filters in range(start, full_cfg.max_filters * 4 + 1, 2):
         cfg = replace(full_cfg, use_tfilm=False, max_filters=max_filters)
-        diff = abs(count_params(build_model(cfg, seed=0)) - target) / target
+        diff = abs(cfg.param_count() - target) / target
         if best_diff is None or diff < best_diff:
             best, best_diff = cfg, diff
         if diff <= tolerance / 4:
@@ -137,8 +139,7 @@ def run_super_resolution_comparison(
     conv_cfg = match_conv_filters(full_cfg)
 
     result = SuperResolutionResult(seed, 0.0, 0.0, 0.0,
-                                   count_params(build_model(full_cfg, 0)),
-                                   count_params(build_model(conv_cfg, 0)))
+                                   full_cfg.param_count(), conv_cfg.param_count())
     stride = patch_length
     eval_pairs = [(x.samples, y.samples) for x, y in test_pairs]
 

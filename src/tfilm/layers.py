@@ -40,7 +40,7 @@ from .errors import (
     InvalidRate,
     ShapeMismatch,
 )
-from .tensor import Tensor, concat, sigmoid
+from .tensor import Tensor, concat
 
 __all__ = [
     "Conv1dParams",
@@ -731,40 +731,56 @@ def _scan_one_direction(xs: Tensor, p: LstmParams, reverse: bool) -> Tensor:
 
     The gate tensors are stacked in gate order i, f, o, g into W (4H, D),
     U (4H, H) and b (4H): the input projection of all steps is one GEMM
-    and each step adds one ``h @ U.T``. The backward runs BPTT in reverse
-    step order into dpre (N, S, 4H), the gradient of the gate
-    pre-activations, then forms dW, dU, db and dx with one GEMM or sum
-    each over all steps.
+    into the pre-activation buffer, and each step adds one ``h @ U.T``
+    into its row of it. The sigmoid gates use sigmoid(z) =
+    (1 + tanh(z / 2)) / 2, so each step takes one ``tanh`` over all 4H
+    pre-activations in place and finishes i, f and o as ``0.5 * t + 0.5``.
+    The halving is folded into the stacked i, f and o rows of W, U and b;
+    a power-of-two scale is exact, so the buffer holds exactly half of the
+    unhalved pre-activations (barring subnormals). The
+    gates agree with the exp form 1 / (1 + exp(-z)) to a few 1e-16
+    absolute, and the form cannot overflow.
+
+    The backward runs BPTT in reverse step order into dpre (N, S, 4H), the
+    gradient of the unhalved pre-activations, reading the gates from the
+    same buffer, then forms dW, dU, db and dx with one GEMM or sum each
+    over all steps, against W and U stacked again without the halving.
     """
     n, steps, d = xs.shape
     hd = p.hidden_size
     ws = (p.w_i, p.w_f, p.w_o, p.w_g)
     us = (p.u_i, p.u_f, p.u_o, p.u_g)
     bs = (p.b_i, p.b_f, p.b_o, p.b_g)
-    w = np.concatenate([t.data for t in ws])
-    u = np.concatenate([t.data for t in us])
-    b = np.concatenate([t.data for t in bs])
+    half = np.repeat((0.5, 0.5, 0.5, 1.0), hd)
+    w = np.concatenate([t.data for t in ws]) * half[:, None]
+    u_t = (np.concatenate([t.data for t in us]) * half[:, None]).T
+    b = np.concatenate([t.data for t in bs]) * half
     x2 = xs.data.reshape(n * steps, d)
-    xw = (x2 @ w.T + b).reshape(n, steps, 4 * hd)
-
-    act = np.empty((n, steps, 4, hd))    # sigmoid of i, f, o; tanh of g
+    # pre-activations, then the gates in place: sigmoid of i, f, o; tanh of g
+    act = (x2 @ w.T + b).reshape(n, steps, 4 * hd)
     c_all = np.empty((n, steps, hd))
     tanh_c = np.empty((n, steps, hd))
     out = np.empty((n, steps, hd))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
+    gi, gf, go, gg = (slice(k * hd, (k + 1) * hd) for k in range(4))
     h = np.zeros((n, hd))
     c = np.zeros((n, hd))
     for s in order:
-        pre = (xw[:, s] + h @ u.T).reshape(n, 4, hd)
         a = act[:, s]
-        a[:, :3] = sigmoid(pre[:, :3])
-        np.tanh(pre[:, 3], out=a[:, 3])
-        c = a[:, 1] * c + a[:, 0] * a[:, 3]
-        c_all[:, s] = c
-        np.tanh(c, out=tanh_c[:, s])
-        h = np.multiply(a[:, 2], tanh_c[:, s], out=out[:, s])
+        a += h @ u_t
+        np.tanh(a, out=a)
+        sig = a[:, :3 * hd]
+        sig *= 0.5
+        sig += 0.5
+        c = np.multiply(a[:, gf], c, out=c_all[:, s])
+        c += a[:, gi] * a[:, gg]
+        tc = np.tanh(c, out=tanh_c[:, s])
+        h = np.multiply(a[:, go], tc, out=out[:, s])
+    act = act.reshape(n, steps, 4, hd)
 
     def backward(grad):
+        w = np.concatenate([t.data for t in ws])
+        u = np.concatenate([t.data for t in us])
         # state entering each step: zero before the first step of the scan
         h_prev = np.zeros_like(out)
         c_prev = np.zeros_like(c_all)

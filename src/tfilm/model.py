@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +57,10 @@ _RETIRED_KEYS = frozenset({"pool_extent", "pool_stride"})
 # headers hold them, and from_dict takes each only at its fixed value
 _FIXED_KEYS = {"dilation": 2, "down_dropout": 0.0, "up_dropout": 0.0,
                "use_skip_stacking": True, "use_residual": True}
+# the most parameters a config may have: 2 GiB of float64, 5.7 times the
+# paper-scale K=4 model's 47.3M; validate rejects more before anything is
+# allocated
+MAX_PARAMS = 2 ** 28
 # the value types from_dict takes for each field type: a float field takes
 # an int too, and bool (an int subclass) fits only a bool field
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
@@ -66,6 +72,19 @@ def check_field_type(name, kind, value):
     if isinstance(value, bool) != (kind == "bool") or not isinstance(
             value, _FIELD_TYPES[kind]):
         raise ConfigInvariantViolation(f"{name} must be {kind}, got {value!r}")
+
+
+class StageShape(NamedTuple):
+    """The conv of one stage and, where the stage has one, its TFiLM layer
+    over the conv's output channels."""
+
+    name: str
+    out_channels: int
+    in_channels: int
+    kernel: int
+    stride: int = 1
+    dilation: int = 1
+    block_len: int = 0  # TFiLM block length; 0 for a stage without TFiLM
 
 
 @dataclass
@@ -115,12 +134,61 @@ class ModelConfig:
             return self.patch_length // self.tfilm_blocks
         return 2 ** (self.depth + 1)
 
+    def stages(self):
+        """The shape of every stage in forward order: down1..downK,
+        bottleneck, up1..upK, final. After up1, which reads the
+        bottleneck's output, each conv reads the previous up block's
+        output, whose channels subpixel(2) halved, stacked with the skip
+        of the down block at the same scale."""
+        time_dims = self.time_dims()
+
+        def block_len(t):
+            return self.tfilm_block_len(t) if self.use_tfilm else 0
+
+        shapes = []
+        channels = self.input_channels
+        for d in range(1, self.depth + 1):
+            shapes.append(StageShape(f"down{d}", self.down_filters(d), channels,
+                                     self.down_kernel(d), 2, 2, block_len(time_dims[d - 1])))
+            channels = self.down_filters(d)
+        shapes.append(StageShape("bottleneck", self.bottleneck_filters(), channels, 9, 2, 1,
+                                 block_len(time_dims[self.depth])))
+        channels = self.bottleneck_filters()
+        for u in range(1, self.depth + 1):
+            shapes.append(StageShape(f"up{u}", self.up_filters(u), channels, self.up_kernel(u)))
+            channels = self.up_filters(u) // 2 + shapes[self.depth - u].out_channels
+        shapes.append(StageShape("final", 2, channels, 9))
+        return shapes
+
+    def param_count(self):
+        """The number of parameters of the network, from the stage shapes
+        alone: equal to ``count_params(build_model(self))``."""
+        cells = 2 if self.bidirectional else 1
+        total = 0
+        for s in self.stages():
+            total += s.out_channels * (s.in_channels * s.kernel + 1)
+            if s.block_len:
+                c = s.out_channels
+                # W, U and b of 4 gates per LSTM cell, then proj_w and proj_b
+                total += cells * 4 * c * (2 * c + 1) + 2 * c * (cells * c + 1)
+        return total
+
     def validate(self):
+        """Raise ``ConfigInvariantViolation`` unless the network can be
+        built: sizes of at least 1, lengths that every stage halves into
+        whole TFiLM blocks, even up-block filter counts and at most
+        ``MAX_PARAMS`` parameters. Each check is cheap, also on hostile
+        values, and none allocates the network."""
         if self.depth < 0:
             raise ConfigInvariantViolation("depth must be >= 0")
         for name in ("input_channels", "tfilm_blocks", "max_filters"):
             if getattr(self, name) < 1:
                 raise ConfigInvariantViolation(f"{name} must be >= 1")
+        # patch_length >= 2^(K+1), checked without forming 2^(K+1): this bounds
+        # the depth before any power of two is taken
+        if operator.index(self.patch_length).bit_length() < self.depth + 2:
+            raise ConfigInvariantViolation(
+                f"patch_length {self.patch_length} is shorter than 2^(K+1) at K = {self.depth}")
         div = 2 ** (self.depth + 1)
         if self.patch_length % div != 0:
             raise ConfigInvariantViolation(
@@ -140,6 +208,10 @@ class ModelConfig:
                 )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigInvariantViolation("dropout_rate must be in [0, 1)")
+        n_params = self.param_count()
+        if n_params > MAX_PARAMS:
+            raise ConfigInvariantViolation(
+                f"{n_params} parameters exceed the bound of {MAX_PARAMS}")
 
     def to_dict(self):
         return asdict(self)
@@ -290,43 +362,22 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
 
 def _assemble(cfg, rng, seed):
     """The network of a validated ``cfg`` with its initialization drawn from
-    ``rng``; ``rng=None`` allocates the drawn tensors without drawing, for
-    a loader that overwrites every parameter."""
-    time_dims = cfg.time_dims()
-    channels = cfg.input_channels
-    down = []
-    skip_channels = []
-    for d in range(1, cfg.depth + 1):
-        conv = init_conv_params(
-            cfg.down_filters(d), channels, cfg.down_kernel(d), rng,
-            stride=2, dilation=2)
-        channels = cfg.down_filters(d)
+    ``rng``, stage by stage in the order of ``cfg.stages()``; ``rng=None``
+    allocates the drawn tensors without drawing, for a loader that
+    overwrites every parameter."""
+    stages = []
+    for s in cfg.stages():
+        # the final conv starts at zero, which makes the model the identity
+        conv = init_conv_params(s.out_channels, s.in_channels, s.kernel, rng,
+                                stride=s.stride, dilation=s.dilation,
+                                zero=s.name == "final")
         tf = None
-        if cfg.use_tfilm:
-            tf = init_tfilm_params(
-                channels, cfg.tfilm_block_len(time_dims[d - 1]), rng,
-                bidirectional=cfg.bidirectional)
-        down.append(_Stage(f"down{d}", conv, tf))
-        skip_channels.append(channels)
-
-    conv = init_conv_params(cfg.bottleneck_filters(), channels, 9, rng, stride=2)
-    channels = cfg.bottleneck_filters()
-    tf = None
-    if cfg.use_tfilm:
-        tf = init_tfilm_params(
-            channels, cfg.tfilm_block_len(time_dims[cfg.depth]), rng,
-            bidirectional=cfg.bidirectional)
-    bottleneck = _Stage("bottleneck", conv, tf)
-
-    up = []
-    for u in range(1, cfg.depth + 1):
-        conv = init_conv_params(cfg.up_filters(u), channels, cfg.up_kernel(u), rng)
-        channels = cfg.up_filters(u) // 2 + skip_channels[cfg.depth - u]
-        up.append(_Stage(f"up{u}", conv))
-
-    final_conv = init_conv_params(2, channels, 9, rng, zero=True)
-    final = _Stage("final", final_conv)
-    return Model(cfg, down, bottleneck, up, final, seed)
+        if s.block_len:
+            tf = init_tfilm_params(s.out_channels, s.block_len, rng,
+                                   bidirectional=cfg.bidirectional)
+        stages.append(_Stage(s.name, conv, tf))
+    k = cfg.depth
+    return Model(cfg, stages[:k], stages[k], stages[k + 1:-1], stages[-1], seed)
 
 
 def count_params(model: Model) -> int:

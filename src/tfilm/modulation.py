@@ -8,8 +8,8 @@ sequence, projects each hidden state to a per-block affine pair
 The projection is zero-initialized with gamma = 1 + projection, so a
 freshly built layer is exactly the identity map.
 
-On the tape the layer is three ops: the block max-pool, which takes each
-block's argmax once; the LSTM scan (see :func:`tfilm.layers.lstm_scan`);
+On the tape the layer is three ops: the block max-pool, whose backward
+takes each block's argmax; the LSTM scan (see :func:`tfilm.layers.lstm_scan`);
 and the modulation, which projects the hidden states and applies the
 affine map with per-block gamma and beta broadcast in place, never
 materialized at the size of F. Its backward writes the one full-size
@@ -74,25 +74,26 @@ def init_tfilm_params(channels, block_len, rng, bidirectional=False):
 def _block_max(f: Tensor, block_len: int) -> Tensor:
     """Max of each block of (N, T, C) activations, (N, T / B, C).
 
-    The argmax is taken once; ties pick the earliest index. The backward
-    adds the pooled gradient into ``f.grad`` at the argmax, in place. The
-    pooled values reach the output only through :func:`_modulate`, whose
-    backward runs first and leaves an array of this sweep in ``f.grad``,
-    so no full-size zero array is written.
+    The forward takes only the maxima. The argmax, where ties pick the
+    earliest index, is taken in the backward, so an eval forward, which
+    records no backward, never computes it. The backward adds the pooled
+    gradient into ``f.grad`` at the argmax, in place. The pooled values
+    reach the output only through :func:`_modulate`, whose backward runs
+    first and leaves an array of this sweep in ``f.grad``, so no full-size
+    zero array is written.
     """
     n, t, c = f.shape
     blocks = f.data.reshape(n, t // block_len, block_len, c)
-    arg = np.argmax(blocks, axis=2)
-    pooled = np.take_along_axis(blocks, arg[:, :, None], axis=2)[:, :, 0]
-    # where each pooled value sits in f: sample, time step, channel
-    where = (np.arange(n)[:, None, None],
-             arg + np.arange(0, t, block_len)[:, None],
-             np.arange(c))
 
     def backward(g):
+        arg = np.argmax(blocks, axis=2)
+        # where each pooled value sits in f: sample, time step, channel
+        where = (np.arange(n)[:, None, None],
+                 arg + np.arange(0, t, block_len)[:, None],
+                 np.arange(c))
         f.grad[where] += g
 
-    return Tensor._from_op(pooled, (f,), backward)
+    return Tensor._from_op(blocks.max(axis=2), (f,), backward)
 
 
 def _modulate(f: Tensor, hidden: Tensor, p: TfilmLayerParams) -> Tensor:

@@ -30,7 +30,6 @@ from .errors import NonDivisibleLength, NonScalarRoot, NoTape, ShapeMismatch
 __all__ = [
     "Tensor",
     "no_grad",
-    "sigmoid",
     "BlockTensor",
     "concat",
     "reshape_to_blocks",
@@ -58,14 +57,6 @@ def no_grad():
 def _as_array(data):
     arr = np.asarray(data, dtype=np.float64)
     return np.ascontiguousarray(arr)
-
-
-def sigmoid(x):
-    """Logistic function of an array; the piecewise form avoids exp overflow
-    for large |x|."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class Tensor:

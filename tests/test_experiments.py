@@ -3,6 +3,7 @@ protocols themselves run under the slow acceptance tests."""
 
 import numpy as np
 
+import tfilm.experiments as experiments
 from tfilm.data import zero_mask
 from tfilm.experiments import impute_input, match_conv_filters, spline_impute
 from tfilm.model import ModelConfig, build_model, count_params
@@ -17,6 +18,16 @@ def test_match_conv_filters_within_tolerance():
     n_full = count_params(build_model(full, 0))
     n_conv = count_params(build_model(conv, 0))
     assert abs(n_conv - n_full) / n_full <= 0.10
+
+
+def test_match_conv_filters_builds_no_model(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(experiments, "build_model", refuse)
+    full = ModelConfig(depth=2, patch_length=2048, max_filters=16, tfilm_blocks=32)
+    conv = experiments.match_conv_filters(full)
+    assert conv.param_count() == count_params(build_model(conv, 0))
 
 
 def test_spline_impute_preserves_observed():

@@ -1,5 +1,6 @@
 """Convolution, LSTM, subpixel shuffle and dropout."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -99,14 +100,14 @@ def test_conv1d_matches_naive(stride, dilation, cin, k, t, tile, request):
     if request.node.callspec.id.startswith("tiles-"):
         assert out.shape[1] % tile
     ref = _naive_conv(x.data, p.weight.data, p.bias.data, stride, dilation)
-    np.testing.assert_allclose(out.data, ref, atol=1e-12)
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
     g = rng.normal(size=out.shape)
     (out * Tensor(g)).sum().backward()
     dx, dw, db = _naive_conv_grads(x.data, p.weight.data, stride, dilation, g)
-    np.testing.assert_allclose(x.grad, dx, atol=1e-12)
-    np.testing.assert_allclose(p.weight.grad, dw, atol=1e-12)
-    np.testing.assert_allclose(p.bias.grad, db, atol=1e-12)
+    np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p.weight.grad, dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p.bias.grad, db, rtol=0, atol=1e-12)
 
 
 def test_conv1d_keeps_no_column_buffer():
@@ -161,13 +162,13 @@ def test_conv1d_output_shorter_than_a_tile(n, t):
     if t:
         assert _tile_len(1, n * t) > t
     np.testing.assert_allclose(out.data, _naive_conv(x.data, p.weight.data, p.bias.data,
-                                                     1, 1), atol=1e-12)
+                                                     1, 1), rtol=0, atol=1e-12)
     g = rng.normal(size=out.shape)
     (out * Tensor(g)).sum().backward()
     dx, dw, db = _naive_conv_grads(x.data, p.weight.data, 1, 1, g)
-    np.testing.assert_allclose(x.grad, dx, atol=1e-12)
-    np.testing.assert_allclose(p.weight.grad, dw, atol=1e-12)
-    np.testing.assert_allclose(p.bias.grad, db, atol=1e-12)
+    np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p.weight.grad, dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p.bias.grad, db, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 1)])
@@ -508,23 +509,42 @@ def _stepwise_scan(x, p, g):
     return out, dx, [grads[nm] for nm, _ in p.named_tensors()]
 
 
+def _scaled_lstm(rng, bidirectional, steps, reach):
+    """Input and cell weights; at a ``reach`` the input and W are scaled
+    by sqrt(k) and U and b by k, so that the largest first-step gate
+    pre-activation x @ W.T + b of the forward cell is ``reach`` in
+    magnitude."""
+    p = init_lstm_params(2, 3, rng, bidirectional=bidirectional)
+    x = rng.normal(size=(2, steps, 2))
+    if reach is None:
+        return p, x
+    k = reach / max(np.abs(x @ getattr(p, f"w_{gate}").data.T
+                           + getattr(p, f"b_{gate}").data).max() for gate in "ifog")
+    for nm, t in p.named_tensors():
+        t.data = t.data * (np.sqrt(k) if nm.split(".")[-1][0] == "w" else k)
+    return p, x * np.sqrt(k)
+
+
 def test_lstm_scan_matches_stepwise():
-    """Outputs and gradients of the fused scan against the numpy steps."""
-    for bidirectional in (False, True):
-        for steps in (1, 5):
-            rng = RNG()
-            p = init_lstm_params(2, 3, rng, bidirectional=bidirectional)
-            x = rng.normal(size=(2, steps, 2))
-            weight = rng.normal(size=(2, steps, 6 if bidirectional else 3))
-            xs = Tensor(x, requires_grad=True)
+    """Outputs and gradients of the fused scan against the numpy steps; at
+    a ``reach`` the gate pre-activations run into the tails, where the exp
+    form overflows and the scan must raise no floating-point error."""
+    for reach, bidirectional, steps in itertools.product(
+            (None, 40.0, 800.0), (False, True), (1, 5)):
+        rng = RNG()
+        p, x = _scaled_lstm(rng, bidirectional, steps, reach)
+        weight = rng.normal(size=(2, steps, 6 if bidirectional else 3))
+        xs = Tensor(x, requires_grad=True)
+        with np.errstate(all="raise"):
             out = lstm_scan(xs, p)
             (out * Tensor(weight)).sum().backward()
+        with np.errstate(over="ignore"):
             ref, ref_dx, ref_grads = _stepwise_scan(x, p, weight)
-            np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(xs.grad, ref_dx, rtol=0, atol=1e-12)
-            assert len(ref_grads) == 12 + 12 * bidirectional
-            for t, want in zip(p.tensors(), ref_grads):
-                np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(xs.grad, ref_dx, rtol=0, atol=1e-12)
+        assert len(ref_grads) == 12 + 12 * bidirectional
+        for t, want in zip(p.tensors(), ref_grads):
+            np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-12)
 
 
 def test_bidirectional_scan_concatenates_reverse():
@@ -537,7 +557,7 @@ def test_bidirectional_scan_concatenates_reverse():
     assert p.bidirectional and not p.reverse.bidirectional
     rev_ref = lstm_scan(Tensor(xs[:, ::-1, :].copy()), p.reverse)
     np.testing.assert_allclose(out.data[:, :, 3:], rev_ref.data[:, ::-1, :],
-                               atol=1e-12)
+                               rtol=0, atol=1e-12)
 
 
 # --- subpixel / dropout -------------------------------------------------------

@@ -120,6 +120,36 @@ def test_validate_rejects_zero_tfilm_blocks():
         replace(MINI, tfilm_blocks=0).validate()
 
 
+# the imputation config: random-walk values and their mask as two channels
+IMPUTATION = ModelConfig(depth=2, input_channels=2, patch_length=512, max_filters=16,
+                         tfilm_blocks=8, dropout_rate=0.5)
+
+
+@pytest.mark.parametrize("cfg", [
+    SR, IMPUTATION,
+    ModelConfig(depth=4, patch_length=1024, max_filters=64),
+    replace(SR, bidirectional=True),
+    replace(SR, use_tfilm=False),
+    ModelConfig(depth=0, patch_length=64, max_filters=7, tfilm_blocks=4),  # odd cap
+], ids=["sr", "imputation", "K4", "bidirectional", "conv-only", "odd-cap"])
+def test_param_count_equals_built_model(cfg):
+    assert cfg.param_count() == count_params(build_model(cfg, seed=0))
+
+
+def test_param_count_of_the_paper_model():
+    # allocated without drawing or touching its 47.3M parameters
+    cfg = ModelConfig()
+    assert cfg.param_count() == count_params(tmodel._assemble(cfg, None, 0)) == 47_279_618
+
+
+def test_validate_bounds_the_parameter_count():
+    cfg = replace(MINI, depth=12, patch_length=2 ** 15, max_filters=2 ** 20)
+    assert cfg.param_count() > tmodel.MAX_PARAMS
+    with pytest.raises(ConfigInvariantViolation, match="parameters exceed"):
+        cfg.validate()
+    ModelConfig().validate()  # the paper-scale model is well inside
+
+
 def test_identity_at_init():
     model = build_model(MINI, seed=0)
     x = np.random.default_rng(0).normal(size=(2, 64, 1))
@@ -391,6 +421,10 @@ BAD_HEADERS = [
     {**MINI.to_dict(), "max_filters": -2},
     {**MINI.to_dict(), "dilation": 0},      # fixed keys off their values
     {**MINI.to_dict(), "use_residual": False},
+    {**MINI.to_dict(), "depth": 12, "patch_length": 2 ** 15,  # 3e12 parameters
+     "max_filters": 2 ** 20},
+    {**MINI.to_dict(), "input_channels": 2 ** 40},
+    {**MINI.to_dict(), "depth": 10 ** 9},   # 2^(K+1) would be a 125 MB int
     pytest.param(b'{"depth": 2', id="not-json"),
     pytest.param(b"\xff\xfe", id="not-utf8"),
 ]
@@ -407,6 +441,33 @@ def test_checkpoint_header_with_bad_config_is_typed_error(tmp_path, header):
     _rewrite_header(path, _header_bytes(header))
     with pytest.raises(BadCheckpointConfig):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header, match", [
+    # 3e12 parameters would ask for 24 TB
+    ({"depth": 12, "patch_length": 2 ** 15, "max_filters": 2 ** 20}, "parameters exceed"),
+    # 2^(K+1) alone would be a 125 MB int
+    ({"depth": 10 ** 9}, "shorter than"),
+], ids=["params", "depth"])
+def test_hostile_header_fails_before_allocating(tmp_path, monkeypatch, header, match):
+    # the config is rejected from its shapes, and the network is never
+    # assembled
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(MINI, seed=0))
+    _rewrite_header(path, json.dumps({**MINI.to_dict(), **header}).encode())
+
+    def refuse(*args):
+        raise AssertionError("the network was assembled")
+
+    monkeypatch.setattr(tmodel, "_assemble", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadCheckpointConfig, match=match):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_checkpoint_bad_magic(tmp_path):
